@@ -40,9 +40,6 @@ from .tracerep import parse, to_trace_form
 from .tvr import join, split
 from .worked_examples import EXAMPLES, run_collision_demo, run_example
 
-_POLY_RE = re.compile(r"^\s*x\s*\^\s*(\d+)|\s*\+\s*x\s*(?:\^\s*(\d+))?|\s*\+\s*1\s*$")
-
-
 def _parse_poly(text: str) -> int:
     """Accepts 0x-hex, decimal, or x-notation like x^7+x+1."""
     text = text.strip()
@@ -305,6 +302,8 @@ def generate_quadratic(t, j_set, poly, out, as_json, timestamps):
     except ValueError:
         raise click.UsageError(f"cannot parse exponent set {j_set!r}")
     try:
+        if t < 2:
+            raise ConditionViolation(f"t must be at least 2, got {t}")
         ctx = _field(2 * t - 1, poly)
         F = quadratic_family(t, J, ctx)
     except (ConditionViolation, InvalidExponentSet, NotNearBent) as exc:
@@ -355,6 +354,16 @@ def sixpack(dim, expr, table, normalize, poly, out, prefix, as_json, timestamps)
         click.echo(f"precondition failed: {exc}", err=True)
         sys.exit(3)
 
+    # one interpolation per distinct table: the seed is base.f0, and
+    # pseudo-dual components repeat
+    forms = {}
+
+    def trace_form(fn):
+        key = fn.table.tobytes()
+        if key not in forms:
+            forms[key] = _trace_form_entry(fn, ctx)
+        return forms[key]
+
     out_dir = Path(out)
     entries = {}
     for label, fn in pack.labeled().items():
@@ -363,15 +372,15 @@ def sixpack(dim, expr, table, normalize, poly, out, prefix, as_json, timestamps)
         pair = split(fn, ctx)
         entries[label] = {
             "file": str(path),
-            "f0_trace_form": _trace_form_entry(pair.f0, ctx),
-            "f1_trace_form": _trace_form_entry(pair.f1, ctx),
+            "f0_trace_form": trace_form(pair.f0),
+            "f1_trace_form": trace_form(pair.f1),
             "table_hex": fn.table_hex(),
         }
     exact = pack.coincidence_classes()
     reduced = pack.coincidence_classes(modulo_structural_forms=True)
     payload = {
         "field": _field_descriptor(ctx),
-        "seed_trace_form": _trace_form_entry(f0, ctx),
+        "seed_trace_form": trace_form(f0),
         "functions": entries,
         "coincidence_classes": {"exact": exact, "modulo_structural_forms": reduced},
     }

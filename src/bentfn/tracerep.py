@@ -2,10 +2,13 @@
 
 ``parse`` evaluates expressions like ``tr(x^7+x^13)+1`` into truth tables.
 ``to_trace_form`` goes the other way: it interpolates the function on the
-multiplicative group, groups the coefficients by cyclotomic coset (one
-subfield coefficient per coset leader), and returns a canonical
-:class:`TraceForm`.  Forms are compared coset-wise, so listings that use a
-non-leader exponent (tr(x^a) = tr(x^2a)) normalize to the same object.
+multiplicative group, keeping one subfield coefficient per cyclotomic coset
+leader, and returns a canonical :class:`TraceForm`.  Only the leader
+coefficients (about n/m of the n = 2^m - 1) are computed, at a cost of
+O(|supp| * n/m); the form is then evaluated back, in O(n^2/m) for a dense
+form, and must reproduce the input exactly.  Forms are compared coset-wise,
+so listings that use a non-leader exponent (tr(x^a) = tr(x^2a)) normalize to
+the same object.
 """
 
 from __future__ import annotations
@@ -26,43 +29,36 @@ from .gf2m import FieldContext, cyclotomic_cosets
 _DFT_CHUNK = 1 << 22
 
 
-def mattson_solomon(f: BooleanFunction, ctx: FieldContext) -> np.ndarray:
+def mattson_solomon(f: BooleanFunction, ctx: FieldContext, exponents=None) -> np.ndarray:
     """Coefficients c_j of the interpolating polynomial on the nonzero elements.
 
     c_j = sum over the support exponents i of alpha^(-ij); the unique
     polynomial of degree < 2^m - 1 with value f(x) at every x != 0 is
     sum c_j x^j, the value at 0 being handled separately by the caller.
-    Direct summation with log-table indexing, chunked to bound memory.
+    ``exponents`` selects which c_j to compute, returned in that order; the
+    default is every j in 0..2^m - 2.  Direct summation with log-table
+    indexing, O(len(exponents) * |supp|), chunked to bound memory.
     """
     if f.m != ctx.m:
         raise DimensionMismatch(f"f.m={f.m} does not match ctx.m={ctx.m}")
     n = ctx.order - 1
+    if exponents is None:
+        js = np.arange(n, dtype=np.int64)
+    else:
+        js = np.asarray(exponents, dtype=np.int64)
     support = f.support()
     support = support[support != 0]
-    coeffs = np.zeros(n, dtype=np.int32)
+    coeffs = np.zeros(js.size, dtype=np.int32)
     if support.size == 0:
         return coeffs
     neg_exps = (n - ctx.log_table[support].astype(np.int64)) % n
     chunk = max(1, _DFT_CHUNK // support.size)
-    js = np.arange(n, dtype=np.int64)
-    for start in range(0, n, chunk):
+    for start in range(0, js.size, chunk):
         block = js[start : start + chunk, None] * neg_exps[None, :] % n
         coeffs[start : start + chunk] = np.bitwise_xor.reduce(
             ctx.antilog_table[block], axis=1
         )
     return coeffs
-
-
-def _frobenius_consistent(coeffs: np.ndarray, ctx: FieldContext) -> bool:
-    # squaring a coefficient must land on the coefficient of the doubled exponent
-    n = ctx.order - 1
-    squared = np.zeros(n, dtype=np.int32)
-    nonzero = np.flatnonzero(coeffs)
-    if nonzero.size:
-        logs = ctx.log_table[coeffs[nonzero]].astype(np.int64)
-        squared[nonzero] = ctx.antilog_table[(2 * logs) % n]
-    doubled = (2 * np.arange(n, dtype=np.int64)) % n
-    return bool(np.array_equal(coeffs[doubled], squared))
 
 
 @dataclass(frozen=True)
@@ -97,23 +93,40 @@ class TraceForm:
         return best
 
     def evaluate(self, ctx: FieldContext) -> BooleanFunction:
-        """Truth table of the form; exact inverse of ``to_trace_form``."""
+        """Truth table of the form; exact inverse of ``to_trace_form``.
+
+        A coset of size s contributes tr_s(c x^l), with c in GF(2^s).  Since
+        c x^l lies in GF(2^s), tr_m(c x^l) = (m/s) tr_s(c x^l), so every term
+        with m/s odd is summed as a field element and traced once; only
+        cosets with m/s even (possible for even m) expand their s conjugates.
+        O(n^2/m) for a dense form, n = 2^m - 1.
+        """
         if ctx.m != self.m:
             raise DimensionMismatch(f"ctx.m={ctx.m} does not match form dimension {self.m}")
         n = ctx.order - 1
         sizes = {c.leader: c.size for c in cyclotomic_cosets(self.m)}
         exps = np.arange(n, dtype=np.int64)
-        acc = np.zeros(n, dtype=np.int32)
+        field_sum = np.zeros(n, dtype=np.int32)
+        bits = np.zeros(n, dtype=np.int32)
         for leader, coeff in self.terms.items():
+            size = sizes[leader]
+            if ctx.pow(coeff, 1 << size) != coeff:
+                raise NotBooleanConsistent(
+                    f"coefficient {coeff} of x^{leader} is outside GF(2^{size})"
+                )
+            if not coeff:
+                continue
             logs = (int(ctx.log_table[coeff]) + leader * exps) % n
-            for k in range(sizes[leader]):
-                acc ^= ctx.antilog_table[(logs << k) % n]
-        acc ^= self.constant ^ self.top_coeff
-        if acc.size and int(acc.max()) > 1:
-            raise NotBooleanConsistent("form does not evaluate to bits everywhere")
+            if (self.m // size) % 2:
+                field_sum ^= ctx.antilog_table[logs]
+            else:
+                for k in range(size):
+                    bits ^= ctx.antilog_table[(logs << k) % n]
+        bits ^= ctx.trace_table[field_sum]
+        bits ^= self.constant ^ self.top_coeff
         table = np.zeros(ctx.order, dtype=np.uint8)
         table[0] = self.constant
-        table[ctx.antilog_table] = acc
+        table[ctx.antilog_table] = bits
         return BooleanFunction(self.m, table)
 
     def as_dict(self, ctx: FieldContext | None = None) -> dict:
@@ -145,10 +158,13 @@ class TraceForm:
 
 def to_trace_form(f: BooleanFunction, ctx: FieldContext) -> TraceForm:
     """Canonical trace form of a truth table, grouping interpolation
-    coefficients by cyclotomic coset."""
-    coeffs = mattson_solomon(f, ctx)
-    if not _frobenius_consistent(coeffs, ctx):
-        raise NotBooleanConsistent("interpolation coefficients break conjugacy")
+    coefficients by cyclotomic coset.
+
+    Only the coset-leader coefficients are interpolated; the form is then
+    evaluated back and must reproduce ``f`` exactly.
+    """
+    cosets = cyclotomic_cosets(ctx.m)
+    coeffs = mattson_solomon(f, ctx, [coset.leader for coset in cosets])
     c0 = int(coeffs[0])
     if c0 not in (0, 1):
         raise NotBooleanConsistent("constant interpolation coefficient is not a bit")
@@ -156,14 +172,15 @@ def to_trace_form(f: BooleanFunction, ctx: FieldContext) -> TraceForm:
     top = c0 ^ constant
     if top != (f.weight() & 1):
         raise NotBooleanConsistent("top coefficient disagrees with the weight parity")
-    terms = {}
-    for coset in cyclotomic_cosets(ctx.m):
-        if coset.leader == 0:
-            continue
-        coeff = int(coeffs[coset.leader])
-        if coeff:
-            terms[coset.leader] = coeff
-    return TraceForm(m=ctx.m, constant=constant, terms=terms, top_coeff=top)
+    terms = {
+        coset.leader: int(coeff)
+        for coset, coeff in zip(cosets[1:], coeffs[1:])
+        if coeff
+    }
+    form = TraceForm(m=ctx.m, constant=constant, terms=terms, top_coeff=top)
+    if form.evaluate(ctx) != f:
+        raise NotBooleanConsistent("trace form does not evaluate back to the table")
+    return form
 
 
 def format_trace_form(tf: TraceForm, ctx: FieldContext | None = None) -> str:

@@ -151,3 +151,27 @@ def naive_mobius(f: BooleanFunction) -> np.ndarray:
 
 def random_function(rng, m: int) -> BooleanFunction:
     return BooleanFunction(m, rng.integers(0, 2, 1 << m, dtype=np.uint8))
+
+
+def conjugate_loop_evaluate(form, ctx) -> BooleanFunction:
+    """Truth table of a trace form by expanding every term into its conjugates:
+    tr_s(c x^l) = sum over k < s of (c x^l)^(2^k), one table pass per conjugate."""
+    n = ctx.order - 1
+    sizes = {}
+    for leader in form.terms:
+        size, e = 1, (2 * leader) % n
+        while e != leader:
+            size, e = size + 1, (2 * e) % n
+        sizes[leader] = size
+    exps = np.arange(n, dtype=np.int64)
+    acc = np.zeros(n, dtype=np.int32)
+    for leader, coeff in form.terms.items():
+        logs = (int(ctx.log_table[coeff]) + leader * exps) % n
+        for k in range(sizes[leader]):
+            acc ^= ctx.antilog_table[(logs << k) % n]
+    acc ^= form.constant ^ form.top_coeff
+    assert int(acc.max()) <= 1
+    table = np.zeros(ctx.order, dtype=np.uint8)
+    table[0] = form.constant
+    table[ctx.antilog_table] = acc
+    return BooleanFunction(form.m, table)

@@ -5,6 +5,8 @@ from click.testing import CliRunner
 
 from bentfn.boolfn import BooleanFunction
 from bentfn.cli import main
+from bentfn.tracerep import parse, to_trace_form
+from bentfn.tvr import split
 
 
 @pytest.fixture()
@@ -133,6 +135,14 @@ class TestGenerate:
         assert result.exit_code == 3
         assert "not near-bent" in result.stderr
 
+    def test_quadratic_t1_is_a_precondition_failure(self, runner, tmp_path):
+        result = invoke(
+            runner,
+            ["generate", "quadratic", "--t", "1", "--j", "1", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 3
+        assert "t must be at least 2" in result.stderr
+
 
 class TestSixpack:
     def test_writes_six_files(self, runner, tmp_path):
@@ -144,6 +154,22 @@ class TestSixpack:
         files = sorted(p.name for p in tmp_path.glob("sixpack_*.bf"))
         assert len(files) == 6
         assert "coincidence classes" in result.output
+
+    def test_json_trace_forms_match_each_table(self, runner, tmp_path, ctx7):
+        result = invoke(
+            runner,
+            ["sixpack", "--dim", "7", "--expr", "tr(x^3+x^9)", "--out", str(tmp_path),
+             "--json"],
+        )
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        seed = parse("tr(x^3+x^9)", ctx7)
+        assert payload["seed_trace_form"] == to_trace_form(seed, ctx7).as_dict(ctx7)
+        assert len(payload["functions"]) == 6
+        for label, entry in payload["functions"].items():
+            pair = split(BooleanFunction.load(entry["file"]), ctx7)
+            assert entry["f0_trace_form"] == to_trace_form(pair.f0, ctx7).as_dict(ctx7), label
+            assert entry["f1_trace_form"] == to_trace_form(pair.f1, ctx7).as_dict(ctx7), label
 
     def test_all_six_identical_summary(self, runner, tmp_path):
         result = invoke(

@@ -1,17 +1,34 @@
 import numpy as np
 import pytest
 
+from bentfn import tracerep
 from bentfn.boolfn import BooleanFunction, trace_function, trace_polynomial
-from bentfn.errors import ExponentOutOfRange, ParseError
+from bentfn.errors import ExponentOutOfRange, NotBooleanConsistent, ParseError
 from bentfn.gf2m import FieldContext, cyclotomic_cosets
 from bentfn.tracerep import (
+    TraceForm,
     format_trace_form,
     mattson_solomon,
     parse,
     to_trace_form,
 )
 
-from helpers import random_function
+from helpers import conjugate_loop_evaluate, random_function
+
+# Kasami-Welch exponents 4^s - 2^s + 1 with 3s = +-1 mod m
+KASAMI_WELCH_EXPONENT = {7: 13, 11: 241, 13: 241}
+
+
+def random_form(rng, ctx) -> TraceForm:
+    """A form with a random coefficient from GF(2^s) (zero included) per coset."""
+    n = ctx.order - 1
+    terms = {}
+    for coset in cyclotomic_cosets(ctx.m)[1:]:
+        k = int(rng.integers(0, 1 << coset.size))
+        if k:
+            step = n // ((1 << coset.size) - 1)
+            terms[coset.leader] = int(ctx.antilog_table[(k - 1) * step])
+    return TraceForm(ctx.m, int(rng.integers(0, 2)), terms, int(rng.integers(0, 2)))
 
 
 class TestParse:
@@ -81,6 +98,23 @@ class TestMattsonSolomon:
                 value ^= ctx5.mul(int(c), ctx5.pow(x, j))
             assert value == f[x]
 
+    @pytest.mark.parametrize("m", [7, 11, 13])
+    def test_leader_coefficients_match_full_summation(self, m):
+        ctx = FieldContext(m)
+        rng = np.random.default_rng(m)
+        leaders = [c.leader for c in cyclotomic_cosets(m)]
+        tables = {
+            "random": random_function(rng, m),
+            "quadratic": trace_polynomial(ctx, [3, 9]),
+            "kasami-welch": trace_polynomial(ctx, [KASAMI_WELCH_EXPONENT[m]]),
+        }
+        for name, f in tables.items():
+            full = mattson_solomon(f, ctx)
+            assert np.array_equal(mattson_solomon(f, ctx, leaders), full[leaders]), name
+            tf = to_trace_form(f, ctx)
+            assert tf.top_coeff ^ tf.constant == full[0], name
+            assert tf.terms == {l: int(full[l]) for l in leaders[1:] if full[l]}, name
+
     def test_frobenius_conjugacy(self, ctx7):
         rng = np.random.default_rng(37)
         coeffs = mattson_solomon(random_function(rng, 7), ctx7)
@@ -146,6 +180,44 @@ class TestTraceForm:
         f = trace_polynomial(ctx, [3])
         tf = to_trace_form(f, ctx)
         assert tf.evaluate(ctx) == f
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_matches_conjugate_loop_on_random_forms(self, m):
+        # even m has cosets with m/size even, which keep the conjugate loop
+        ctx = FieldContext(m)
+        rng = np.random.default_rng(61 + m)
+        for _ in range(20):
+            form = random_form(rng, ctx)
+            assert form.evaluate(ctx) == conjugate_loop_evaluate(form, ctx)
+
+    @pytest.mark.parametrize("leader", [9, 21])
+    def test_coefficient_outside_subfield_rejected(self, leader):
+        # m = 6: the coset of 9 has size 3 (m/size even), that of 21 size 2
+        # (m/size odd); alpha lies in neither GF(8) nor GF(4)
+        ctx = FieldContext(6)
+        form = TraceForm(6, 0, {leader: int(ctx.antilog_table[1])})
+        with pytest.raises(NotBooleanConsistent):
+            form.evaluate(ctx)
+
+    def test_flipped_leader_coefficient_breaks_round_trip(self, ctx7, monkeypatch):
+        f = trace_polynomial(ctx7, [3, 9])
+        leaders = [c.leader for c in cyclotomic_cosets(7)]
+        flipped = dict(to_trace_form(f, ctx7).terms)
+        flipped[3] ^= 2
+        assert TraceForm(7, 0, flipped).evaluate(ctx7) != f
+
+        interpolate = tracerep.mattson_solomon
+
+        def corrupted(f, ctx, exponents=None):
+            coeffs = interpolate(f, ctx, exponents)
+            coeffs[leaders.index(3)] ^= 2
+            return coeffs
+
+        monkeypatch.setattr(tracerep, "mattson_solomon", corrupted)
+        with pytest.raises(NotBooleanConsistent):
+            to_trace_form(f, ctx7)
 
 
 class TestFormat:
