@@ -26,7 +26,10 @@ from .errors import (
 )
 from .gf2m import FieldContext, cyclotomic_cosets
 
-_DFT_CHUNK = 1 << 22
+# Entries per (exponent x support) block of mattson_solomon: 2 MiB as int64.
+# Blocks of tens of MiB left peak memory depending on how the allocator
+# reused earlier freed blocks, so it varied from one run to the next.
+_DFT_CHUNK = 1 << 18
 
 
 def mattson_solomon(f: BooleanFunction, ctx: FieldContext, exponents=None) -> np.ndarray:
