@@ -34,10 +34,11 @@ def _xor_butterfly(table: np.ndarray) -> np.ndarray:
 class BooleanFunction:
     """An m-variable Boolean function stored as a 2^m-entry 0/1 table."""
 
-    __slots__ = ("m", "_table")
+    __slots__ = ("m", "_table", "_spectrum")
 
     def __init__(self, m: int, table):
-        arr = np.ascontiguousarray(table, dtype=np.uint8)
+        # a private copy, so later writes to the caller's array cannot reach it
+        arr = np.array(table, dtype=np.uint8)
         if m < 1:
             raise ValueError(f"dimension must be positive, got {m}")
         if arr.shape != (1 << m,):
@@ -49,6 +50,7 @@ class BooleanFunction:
         arr.setflags(write=False)
         self.m = m
         self._table = arr
+        self._spectrum = None  # filled by bentfn.spectrum.walsh
 
     @property
     def table(self) -> np.ndarray:

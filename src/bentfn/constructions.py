@@ -109,20 +109,16 @@ class ConditionFlags:
 class DualSupportReport:
     """Support structure of the dual's components, predicted from one component spectrum.
 
-    ``S`` collects the field points where the first component's coefficient is
-    -2^t, ``S1`` is S translated by 1, and ``G_set`` the coefficient zero set;
-    ``g`` is the characteristic function of G_set and ``s_indicator`` that of S.
-    The first dual component must be supported exactly on S | S1 and the second
-    must equal the first plus g.
+    Every set is a truth table over the field points.  ``s_indicator`` marks S,
+    the points where the first component's coefficient is -2^t; S1 is S
+    translated by 1.  ``g`` marks the coefficient zero set.  The report checks
+    that the first dual component is supported exactly on S | S1, that the
+    second equals the first plus g, that S and S1 are disjoint and that the
+    zero set holds half the field.
     """
 
-    S: frozenset[int]
-    S1: frozenset[int]
-    G_set: frozenset[int]
     g: BooleanFunction
     s_indicator: BooleanFunction
-    predicted_support: frozenset[int]
-    observed_support: frozenset[int]
     report: CheckReport
 
     @property
@@ -240,6 +236,14 @@ def _require_near_bent(f0: BooleanFunction, what: str = "input"):
     return spectrum
 
 
+def _join_with_trace(f0: BooleanFunction, ctx: FieldContext, failure: str) -> BooleanFunction:
+    """join(f0, f0 + tr), checked bent; raises BentVerificationFailed(failure) if not."""
+    F = join(f0, f0 + trace_function(ctx))
+    if walsh(F).classification is not Classification.BENT:
+        raise BentVerificationFailed(failure)
+    return F
+
+
 def bent_from_near_bent(f0: BooleanFunction, ctx: FieldContext) -> BooleanFunction:
     """Join a qualifying near-bent f0 with f0 + tr into a bent function.
 
@@ -250,10 +254,7 @@ def bent_from_near_bent(f0: BooleanFunction, ctx: FieldContext) -> BooleanFuncti
     _require_near_bent(f0, "f0")
     if f0.derivative(1).is_constant() is None:
         raise DerivativeNotConstant("the unit derivative of f0 is not constant")
-    F = join(f0, f0 + trace_function(ctx))
-    if walsh(F).classification is not Classification.BENT:
-        raise BentVerificationFailed("joined function failed the bent check")
-    return F
+    return _join_with_trace(f0, ctx, "joined function failed the bent check")
 
 
 def normalize_near_bent(f: BooleanFunction, ctx: FieldContext, e: int = 1) -> BooleanFunction:
@@ -329,40 +330,24 @@ def dual_support_analysis(F: BooleanFunction, ctx: FieldContext) -> DualSupportR
 
     Requires F bent with component sum exactly tr.
     """
-    flags = _require_xi_zero(F, ctx)
-    del flags
+    _require_xi_zero(F, ctx)
     pair = split(F, ctx)
     t = F.m // 2
     values = walsh(pair.f0).trace_indexed(ctx)
 
-    s_table = (values == -(1 << t)).astype(np.uint8)
-    g_table = (values == 0).astype(np.uint8)
-    S = frozenset(int(v) for v in np.flatnonzero(s_table))
-    S1 = frozenset(v ^ 1 for v in S)
-    G_set = frozenset(int(v) for v in np.flatnonzero(g_table))
-    g = BooleanFunction(ctx.m, g_table)
-    s_indicator = BooleanFunction(ctx.m, s_table)
-
+    s = (values == -(1 << t)).astype(np.uint8)
+    s1 = s[np.arange(ctx.order) ^ 1]
+    g = BooleanFunction(ctx.m, values == 0)
     dual_pair = split(dual(F, ctx), ctx)
-    observed = frozenset(int(v) for v in dual_pair.f0.support())
-    predicted = S | S1
 
     items = [
-        CheckItem("first-dual-support-is-S-union-S1", observed == predicted),
+        CheckItem("first-dual-support-is-S-union-S1",
+                  bool(np.array_equal(dual_pair.f0.table, s | s1))),
         CheckItem("second-dual-equals-first-plus-zero-indicator", dual_pair.f1 == dual_pair.f0 + g),
-        CheckItem("S-and-S1-disjoint", not (S & S1)),
-        CheckItem("zero-set-size", len(G_set) == 1 << (ctx.m - 1)),
+        CheckItem("S-and-S1-disjoint", not (s & s1).any()),
+        CheckItem("zero-set-size", g.weight() == 1 << (ctx.m - 1)),
     ]
-    return DualSupportReport(
-        S=S,
-        S1=S1,
-        G_set=G_set,
-        g=g,
-        s_indicator=s_indicator,
-        predicted_support=predicted,
-        observed_support=observed,
-        report=CheckReport("dual-support", items),
-    )
+    return DualSupportReport(g, BooleanFunction(ctx.m, s), CheckReport("dual-support", items))
 
 
 def check_dual_unit_derivatives(F: BooleanFunction, ctx: FieldContext) -> CheckReport:
@@ -526,13 +511,9 @@ def kasami_welch(t: int, s: int, ctx: FieldContext | None = None) -> BooleanFunc
         ctx = FieldContext(2 * t - 1)
     elif ctx.m != 2 * t - 1:
         raise DimensionMismatch(f"ctx.m={ctx.m} does not match 2t-1={2 * t - 1}")
-    f0 = trace_polynomial(ctx, [d])
-    F = join(f0, f0 + trace_function(ctx))
-    if walsh(F).classification is not Classification.BENT:
-        raise BentVerificationFailed(
-            f"joined function for t={t}, s={s} failed the bent check"
-        )
-    return F
+    return _join_with_trace(
+        trace_polynomial(ctx, [d]), ctx, f"joined function for t={t}, s={s} failed the bent check"
+    )
 
 
 def quadratic_family(t: int, J, ctx: FieldContext | None = None) -> BooleanFunction:
@@ -572,10 +553,7 @@ def quadratic_family(t: int, J, ctx: FieldContext | None = None) -> BooleanFunct
         raise NotNearBent(
             f"quadratic seed for J={js} is not near-bent", spectrum.histogram
         )
-    F = join(f0, f0 + trace_function(ctx))
-    if walsh(F).classification is not Classification.BENT:
-        raise BentVerificationFailed(f"joined function for J={js} failed the bent check")
-    return F
+    return _join_with_trace(f0, ctx, f"joined function for J={js} failed the bent check")
 
 
 def quadratic_exponent_sets(t: int):
@@ -594,7 +572,11 @@ def quadratic_exponent_sets(t: int):
 
 def six_pack(f0: BooleanFunction, ctx: FieldContext) -> SixPack:
     """Grow the six bent functions from one near-bent seed with constant unit derivative."""
-    F = bent_from_near_bent(f0, ctx)
+    return _six_pack_of(bent_from_near_bent(f0, ctx), ctx)
+
+
+def _six_pack_of(F: BooleanFunction, ctx: FieldContext) -> SixPack:
+    """The six-pack of a bent F: its dual, both pseudo-duals and their duals."""
     dual_F = dual(F, ctx)
     pd0, pd1 = _pseudo_duals_of_dual(dual_F, ctx)
     pd0_dual = dual(pd0, ctx)

@@ -4,6 +4,10 @@ All arithmetic is integer exact.  The butterfly transform works over the
 standard coordinate dot product; queries through the trace inner product go
 through :meth:`bentfn.gf2m.FieldContext.dual_index`, which keeps all basis
 dependence in one bijection.
+
+A function's spectrum is computed once: :func:`walsh` keeps it on the
+immutable :class:`~bentfn.boolfn.BooleanFunction`, so duals, checkers and the
+CLI share one transform per function object.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ def _classify(coeffs: np.ndarray, m: int) -> tuple[Classification, dict[int, int
     return label, histogram
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class WalshSpectrum:
     """All 2^m Fourier coefficients of a function, indexed by the coordinate dual point."""
 
@@ -81,14 +85,20 @@ class WalshSpectrum:
 
 
 def walsh(f: BooleanFunction) -> WalshSpectrum:
-    """Fast Walsh-Hadamard transform of (-1)^F, with classification."""
-    if f.m > MAX_WALSH_DIMENSION:
-        raise DimensionOutOfRange(f"dimension {f.m} exceeds {MAX_WALSH_DIMENSION}")
-    signs = 1 - 2 * f.table.astype(np.int32)
-    coeffs = _fwht(signs)
-    label, histogram = _classify(coeffs, f.m)
-    coeffs.setflags(write=False)
-    return WalshSpectrum(f.m, coeffs, label, histogram)
+    """Fast Walsh-Hadamard transform of (-1)^F, with classification.
+
+    The spectrum is computed on the first call and kept on ``f``; later calls
+    return the same object.
+    """
+    if f._spectrum is None:
+        if f.m > MAX_WALSH_DIMENSION:
+            raise DimensionOutOfRange(f"dimension {f.m} exceeds {MAX_WALSH_DIMENSION}")
+        signs = 1 - 2 * f.table.astype(np.int32)
+        coeffs = _fwht(signs)
+        label, histogram = _classify(coeffs, f.m)
+        coeffs.setflags(write=False)
+        f._spectrum = WalshSpectrum(f.m, coeffs, label, histogram)
+    return f._spectrum
 
 
 def classify(obj) -> Classification:

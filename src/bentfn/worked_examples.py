@@ -13,19 +13,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .boolfn import BooleanFunction, trace_function
+from .boolfn import trace_function
 from .constructions import (
+    _six_pack_of,
     check_dual_component_sum,
     check_dual_unit_derivatives,
     check_pseudo_dual_conditions,
     condition_flags,
     dual_support_analysis,
     pseudo_dual_collision_demo,
-    six_pack,
 )
 from .gf2m import FieldContext
-from .spectrum import Classification, dual, walsh
-from .tracerep import TraceForm, parse, to_trace_form
+from .spectrum import Classification, walsh
+from .tracerep import parse, to_trace_form
 from .tvr import join, linear_form, split
 
 
@@ -200,10 +200,6 @@ class ExampleResult:
         }
 
 
-def _form(fn: BooleanFunction, ctx: FieldContext) -> TraceForm:
-    return to_trace_form(fn, ctx)
-
-
 def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleResult:
     """Build the example's function and compare every recorded expectation."""
     start = time.perf_counter()
@@ -214,9 +210,8 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
     def check(name, passed, detail=""):
         checks.append(ExampleCheck(name, bool(passed), detail))
 
-    tr = trace_function(ctx)
     f0 = parse(ex.f0, ctx)
-    F = join(f0, f0 + tr)
+    F = join(f0, f0 + trace_function(ctx))
 
     spectrum = walsh(F)
     check("bent", spectrum.classification is Classification.BENT,
@@ -226,31 +221,27 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
     check("zero-derivative-condition", flags.has_C == ex.has_C, f"has_C={flags.has_C}")
     check("derivative-constant", flags.d1_f0 == ex.d1_constant, f"d1_f0={flags.d1_f0}")
 
-    dual_F = dual(F, ctx)
+    pack = _six_pack_of(F, ctx)
+    _, dual_F, pd0, pd1, pd0_dual, pd1_dual = pack.functions()
     dual_pair = split(dual_F, ctx)
     if ex.dual0 is not None:
-        expected = _form(parse(ex.dual0, ctx), ctx)
-        check("dual-first-form", _form(dual_pair.f0, ctx) == expected)
+        expected = to_trace_form(parse(ex.dual0, ctx), ctx)
+        check("dual-first-form", to_trace_form(dual_pair.f0, ctx) == expected)
     if ex.dual_offset is not None:
-        expected = _form(parse(ex.dual_offset, ctx), ctx)
-        check("dual-offset-form", _form(dual_pair.f0 + dual_pair.f1, ctx) == expected)
+        expected = to_trace_form(parse(ex.dual_offset, ctx), ctx)
+        check("dual-offset-form", to_trace_form(dual_pair.f0 + dual_pair.f1, ctx) == expected)
 
     support = dual_support_analysis(F, ctx)
     check("dual-support", support.passed)
     if ex.zero_indicator is not None:
-        expected = _form(parse(ex.zero_indicator, ctx), ctx)
-        check("zero-indicator-form", _form(support.g, ctx) == expected)
+        expected = to_trace_form(parse(ex.zero_indicator, ctx), ctx)
+        check("zero-indicator-form", to_trace_form(support.g, ctx) == expected)
 
     check("dual-unit-derivatives", check_dual_unit_derivatives(F, ctx).passed)
     if ex.d1_constant is not None:
         check("dual-component-sum", check_dual_component_sum(F, ctx).passed)
     check("pseudo-dual-conditions", check_pseudo_dual_conditions(F, ctx).passed)
 
-    # the four derived functions
-    pd0 = join(dual_pair.f0, dual_pair.f0 + tr)
-    pd1 = join(dual_pair.f1, dual_pair.f1 + tr)
-    pd0_dual = dual(pd0, ctx)
-    pd1_dual = dual(pd1, ctx)
     for name, fn in (("pseudo0", pd0), ("pseudo1", pd1),
                      ("pseudo0-dual", pd0_dual), ("pseudo1-dual", pd1_dual)):
         check(f"{name}-bent", walsh(fn).classification is Classification.BENT)
@@ -258,17 +249,17 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
     if ex.pd0_dual0 is not None:
         pair = split(pd0_dual, ctx)
         check("pseudo0-dual-first-form",
-              _form(pair.f0, ctx) == _form(parse(ex.pd0_dual0, ctx), ctx))
+              to_trace_form(pair.f0, ctx) == to_trace_form(parse(ex.pd0_dual0, ctx), ctx))
         if ex.pd0_dual_offset is not None:
-            check("pseudo0-dual-offset-form",
-                  _form(pair.f0 + pair.f1, ctx) == _form(parse(ex.pd0_dual_offset, ctx), ctx))
+            expected = to_trace_form(parse(ex.pd0_dual_offset, ctx), ctx)
+            check("pseudo0-dual-offset-form", to_trace_form(pair.f0 + pair.f1, ctx) == expected)
     if ex.pd1_dual0 is not None:
         pair = split(pd1_dual, ctx)
         check("pseudo1-dual-first-form",
-              _form(pair.f0, ctx) == _form(parse(ex.pd1_dual0, ctx), ctx))
+              to_trace_form(pair.f0, ctx) == to_trace_form(parse(ex.pd1_dual0, ctx), ctx))
         if ex.pd1_dual_offset is not None:
-            check("pseudo1-dual-offset-form",
-                  _form(pair.f0 + pair.f1, ctx) == _form(parse(ex.pd1_dual_offset, ctx), ctx))
+            expected = to_trace_form(parse(ex.pd1_dual_offset, ctx), ctx)
+            check("pseudo1-dual-offset-form", to_trace_form(pair.f0 + pair.f1, ctx) == expected)
 
     if ex.self_dual:
         check("self-dual", dual_F == F)
@@ -283,16 +274,14 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
     if ex.pd1_dual_is_base_plus_nu_form:
         check("pseudo1-dual-is-base-plus-nu-form", pd1_dual == F + linear_form(ctx, 0, 1))
 
-    if ex.exact_class_count is not None or ex.reduced_class_count is not None:
-        pack = six_pack(f0, ctx)
-        if ex.exact_class_count is not None:
-            classes = pack.coincidence_classes()
-            check("exact-coincidence-classes", len(classes) == ex.exact_class_count,
-                  f"{len(classes)} classes")
-        if ex.reduced_class_count is not None:
-            classes = pack.coincidence_classes(modulo_structural_forms=True)
-            check("reduced-coincidence-classes", len(classes) == ex.reduced_class_count,
-                  f"{len(classes)} classes")
+    if ex.exact_class_count is not None:
+        classes = pack.coincidence_classes()
+        check("exact-coincidence-classes", len(classes) == ex.exact_class_count,
+              f"{len(classes)} classes")
+    if ex.reduced_class_count is not None:
+        classes = pack.coincidence_classes(modulo_structural_forms=True)
+        check("reduced-coincidence-classes", len(classes) == ex.reduced_class_count,
+              f"{len(classes)} classes")
 
     if ex.all_degrees is not None:
         degrees = {F.degree(), dual_F.degree(), pd0.degree(), pd1.degree(),

@@ -40,6 +40,20 @@ class TestBasics:
         with pytest.raises(ValueError):
             f.table[0] = 1
 
+    def test_writes_to_the_callers_array_do_not_reach_the_function(self):
+        from bentfn.spectrum import walsh
+
+        base = np.array([0, 1, 1, 0, 1, 0, 0, 0] * 4, dtype=np.uint8)
+        f = BooleanFunction(4, base[:16])
+        table, digest, coeffs = f.table.copy(), hash(f), walsh(f).coeffs.copy()
+        base[3] ^= 1
+        assert np.array_equal(f.table, table)
+        assert hash(f) == digest
+        assert np.array_equal(walsh(f).coeffs, coeffs)
+        whole = base.copy()
+        BooleanFunction(5, whole)
+        assert base.flags.writeable and whole.flags.writeable
+
     @given(any_function)
     @settings(max_examples=60, deadline=None)
     def test_self_sum_is_zero(self, f):

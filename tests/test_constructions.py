@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bentfn.boolfn import BooleanFunction, trace_function, trace_polynomial
@@ -27,7 +28,7 @@ from bentfn.errors import (
     InvalidExponentSet,
     NotNearBent,
 )
-from bentfn.spectrum import Classification, classify, dual
+from bentfn.spectrum import Classification, classify, dual, walsh
 from bentfn.tvr import join, linear_form, split
 
 
@@ -126,12 +127,37 @@ class TestDualSupport:
         F = kasami_welch(4, 2, ctx7)
         report = dual_support_analysis(F, ctx7)
         assert report.passed
+        assert [item.name for item in report.report.items] == [
+            "first-dual-support-is-S-union-S1",
+            "second-dual-equals-first-plus-zero-indicator",
+            "S-and-S1-disjoint",
+            "zero-set-size",
+        ]
         # the zero-set indicator is 1 + tr(x^5) for this seed
         expected = trace_polynomial(ctx7, [5], constant_term=1)
         assert report.g == expected
-        assert report.predicted_support == report.observed_support
-        assert len(report.S1) == len(report.S) and not (report.S & report.S1)
-        assert len(report.G_set) == 64
+        values = walsh(split(F, ctx7).f0).trace_indexed(ctx7)
+        assert np.array_equal(report.s_indicator.table, values == -16)
+        S = {int(v) for v in report.s_indicator.support()}
+        S1 = {v ^ 1 for v in S}
+        assert {int(v) for v in split(dual(F, ctx7), ctx7).f0.support()} == S | S1
+        assert len(S1) == len(S) and not (S & S1)
+        assert report.g.weight() == 64
+
+    def test_flipped_dual_bit_fails_support_check(self, ctx7, monkeypatch):
+        import bentfn.constructions as constructions
+
+        def flipped_dual(F, ctx):
+            table = dual(F, ctx).table.copy()
+            table[5] ^= 1
+            return BooleanFunction(F.m, table)
+
+        F = kasami_welch(4, 2, ctx7)
+        monkeypatch.setattr(constructions, "dual", flipped_dual)
+        report = dual_support_analysis(F, ctx7)
+        assert not report.report.item("first-dual-support-is-S-union-S1").passed
+        assert report.report.item("S-and-S1-disjoint").passed
+        assert report.report.item("zero-set-size").passed
 
     def test_quadratic_zero_indicator_is_trace(self, ctx7):
         f0 = trace_polynomial(ctx7, [3, 9])
@@ -346,6 +372,30 @@ class TestCollision:
         report = pseudo_dual_collision_demo(ctx7)
         assert classify(report.first) is Classification.BENT
         assert classify(report.second) is Classification.BENT
+
+
+class TestOneSpectrumPerFunction:
+    def test_walsh_is_computed_once(self, ctx7):
+        f = trace_polynomial(ctx7, [13])
+        assert walsh(f) is walsh(f)
+
+    def test_verify_function_transform_count(self, ctx7, monkeypatch):
+        import bentfn.spectrum as spectrum
+
+        sizes = []
+        fwht = spectrum._fwht
+
+        def counting_fwht(values):
+            sizes.append(values.size)
+            return fwht(values)
+
+        f0 = trace_polynomial(ctx7, [3, 9])
+        F = join(f0, f0 + trace_function(ctx7))
+        monkeypatch.setattr(spectrum, "_fwht", counting_fwht)
+        suite = verify_function(F, ctx7)
+        assert suite.passed and not suite.skipped
+        assert len(sizes) <= 6
+        assert sizes.count(256) <= 3
 
 
 class TestVerifyFunction:
