@@ -29,16 +29,18 @@ from .constructions import (
 )
 from .errors import (
     BentfnError,
+    BentVerificationFailed,
     ConditionViolation,
     DerivativeNotConstant,
     InvalidExponentSet,
+    NotBent,
     NotNearBent,
 )
 from .gf2m import FieldContext
 from .spectrum import walsh
 from .tracerep import parse, to_trace_form
 from .tvr import join, split
-from .worked_examples import EXAMPLES, run_collision_demo, run_example
+from .worked_examples import run_all
 
 def _parse_poly(text: str) -> int:
     """Accepts 0x-hex, decimal, or x-notation like x^7+x+1."""
@@ -103,15 +105,15 @@ def main():
 
 
 def _resolve_input(dim, expr, expr_pair, table, poly):
-    """Returns (function, component_ctx, parse_ctx_or_None, descriptor)."""
+    """Returns (function, component_ctx, descriptor); ``poly`` names component_ctx."""
     given = [x for x in (expr, expr_pair, table) if x]
     if len(given) != 1:
         raise click.UsageError("give exactly one of --expr, --expr-pair, --table")
     if table:
         fn = BooleanFunction.load(table)
-        descriptor = {"kind": "table", "path": str(table)}
-        dim = fn.m
-    elif expr_pair:
+        ctx = _field(fn.m if fn.m % 2 else fn.m - 1, poly)
+        return fn, ctx, {"kind": "table", "path": str(table)}
+    if expr_pair:
         if dim is None:
             raise click.UsageError("--dim is required with --expr-pair")
         if dim % 2 or dim < 4:
@@ -123,22 +125,17 @@ def _resolve_input(dim, expr, expr_pair, table, poly):
             f1 = f0 + parse(second[1:], ctx)
         else:
             f1 = parse(second, ctx)
-        fn = join(f0, f1)
-        descriptor = {"kind": "expr-pair", "f0": expr_pair[0], "f1": expr_pair[1]}
-        return fn, ctx, ctx, descriptor
-    else:
-        if dim is None:
-            raise click.UsageError("--dim is required with --expr")
-        ctx = _field(dim, poly)
-        fn = parse(expr, ctx)
-        descriptor = {"kind": "expr", "expr": expr}
-        if dim % 2 == 0:
-            return fn, _field(dim - 1, poly), ctx, descriptor
-        return fn, ctx, ctx, descriptor
-    # table path: the component field carries any trace-form analysis
-    if fn.m % 2 == 0:
-        return fn, _field(fn.m - 1, poly), None, descriptor
-    return fn, _field(fn.m, poly), None, descriptor
+        return join(f0, f1), ctx, {"kind": "expr-pair", "f0": expr_pair[0], "f1": expr_pair[1]}
+    if dim is None:
+        raise click.UsageError("--dim is required with --expr")
+    if dim % 2 == 0 and poly:
+        raise click.UsageError(f"--poly cannot name both GF(2^{dim}), where an even-dimensional "
+                               f"--expr is parsed, and GF(2^{dim - 1}); use --expr-pair or --table")
+    ctx = _field(dim, poly)
+    fn = parse(expr, ctx)
+    if dim % 2 == 0:
+        ctx = FieldContext(dim - 1)
+    return fn, ctx, {"kind": "expr", "expr": expr}
 
 
 @main.command()
@@ -157,7 +154,7 @@ def _resolve_input(dim, expr, expr_pair, table, poly):
 def analyze(dim, expr, expr_pair, table, poly, as_json, full_spectrum, checks, timestamps):
     """Classify a function and report weight, degree, spectrum, and trace forms."""
     try:
-        fn, ctx, parse_ctx, descriptor = _resolve_input(dim, expr, expr_pair, table, poly)
+        fn, ctx, descriptor = _resolve_input(dim, expr, expr_pair, table, poly)
         spectrum = walsh(fn)
         payload = {
             "input": descriptor,
@@ -353,6 +350,9 @@ def sixpack(dim, expr, table, normalize, poly, out, prefix, as_json, timestamps)
     except (NotNearBent, DerivativeNotConstant, ConditionViolation) as exc:
         click.echo(f"precondition failed: {exc}", err=True)
         sys.exit(3)
+    except (BentVerificationFailed, NotBent) as exc:
+        click.echo(f"verification failed: {exc}", err=True)
+        sys.exit(4)
 
     # one interpolation per distinct table: the seed is base.f0, and
     # pseudo-dual components repeat
@@ -410,7 +410,7 @@ def _classes_text(classes):
 def verify(dim, expr_pair, table, poly, as_json, timestamps):
     """Run every applicable checker on a bent function; exit 4 on any failure."""
     try:
-        fn, ctx, _, descriptor = _resolve_input(dim, None, expr_pair, table, poly)
+        fn, ctx, descriptor = _resolve_input(dim, None, expr_pair, table, poly)
         if fn.m % 2:
             raise click.UsageError("verification needs an even-dimensional function")
         suite = verify_function(fn, ctx)
@@ -426,18 +426,12 @@ def verify(dim, expr_pair, table, poly, as_json, timestamps):
 
 
 @main.command()
-@click.option("--only", type=str, help="run only catalogue ids containing this substring")
+@click.option("--only", default="", help="run only catalogue ids containing this substring")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--timestamps", is_flag=True)
 def examples(only, as_json, timestamps):
     """Reproduce the bundled worked examples; exit 5 on any mismatch."""
-    results = []
-    for ex in EXAMPLES:
-        if only and only not in ex.example_id:
-            continue
-        results.append(run_example(ex))
-    if not only or only in "pseudo-dual-collision":
-        results.append(run_collision_demo())
+    results = run_all(only)
     if not results:
         raise click.UsageError(f"no catalogue entry matches {only!r}")
     if as_json:

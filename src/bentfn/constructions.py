@@ -297,7 +297,7 @@ def condition_flags(F: BooleanFunction, ctx: FieldContext) -> ConditionFlags:
     sum01 = pair.f0 + pair.f1
     tr = trace_function(ctx)
     dist0 = (sum01 + tr).weight()
-    dist1 = (sum01 + tr + 1).weight()
+    dist1 = ctx.order - dist0
     if dist0 == 0:
         xi = 0
     elif dist1 == 0:
@@ -369,9 +369,7 @@ def check_dual_unit_derivatives(F: BooleanFunction, ctx: FieldContext) -> CheckR
 def check_dual_component_sum(F: BooleanFunction, ctx: FieldContext) -> CheckReport:
     """For bent F with component sum tr and constant unit derivative of f0:
     the dual components sum to tr when that constant is 0, and to tr + 1 when it is 1."""
-    _require_xi_zero(F, ctx)
-    pair = split(F, ctx)
-    omega = pair.f0.derivative(1).is_constant()
+    omega = _require_xi_zero(F, ctx).d1_f0
     if omega is None:
         raise DerivativeNotConstant("the unit derivative of f0 is not constant")
     dual_pair = split(dual(F, ctx), ctx)

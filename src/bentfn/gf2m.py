@@ -41,13 +41,13 @@ DEFAULT_PRIMITIVE_POLYS = {
     15: 0b1000000000000011,  # x^15 + x + 1
     16: 0b10001000000001011,
     17: 0b100000000000001001,
-    18: 0b1000000010000000001,
+    18: 0b1000000000010000001,          # x^18 + x^7 + 1
     19: 0b10000000000000100111,
     20: 0b100000000000000001001,
     21: 0b1000000000000000000101,
     22: 0b10000000000000000000011,
     23: 0b100000000000000000100001,
-    24: 0b1000000010000011010011101,
+    24: 0b1000000000000000010000111,    # x^24 + x^7 + x^2 + x + 1
 }
 
 

@@ -4,17 +4,19 @@ Each entry seeds a bent function F = join(f0, f0 + tr) from a trace
 expression and records everything that is known about it in closed form:
 condition flags, the dual's components, the duals of both pseudo-duals, and
 coincidence structure among the six derived functions.  The catalogue backs
-the ``bentfn examples`` command and the acceptance suite; all expectations
-are compared coset-wise as trace forms or as exact truth tables.
+the ``bentfn examples`` command and the acceptance suite; published trace
+expressions are parsed and compared with the computed truth tables.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .boolfn import trace_function
 from .constructions import (
+    CheckItem,
     _six_pack_of,
     check_dual_component_sum,
     check_dual_unit_derivatives,
@@ -23,9 +25,10 @@ from .constructions import (
     dual_support_analysis,
     pseudo_dual_collision_demo,
 )
+from .errors import BentfnError
 from .gf2m import FieldContext
 from .spectrum import Classification, walsh
-from .tracerep import parse, to_trace_form
+from .tracerep import parse
 from .tvr import join, linear_form, split
 
 
@@ -170,18 +173,13 @@ EXAMPLES: tuple[WorkedExample, ...] = (
     ),
 )
 
-
-@dataclass(frozen=True)
-class ExampleCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+COLLISION_ID = "pseudo-dual-collision"
 
 
 @dataclass(eq=False)
 class ExampleResult:
     example_id: str
-    checks: list[ExampleCheck] = field(default_factory=list)
+    checks: list[CheckItem] = field(default_factory=list)
     duration: float = 0.0
 
     @property
@@ -193,10 +191,7 @@ class ExampleResult:
             "example_id": self.example_id,
             "passed": self.passed,
             "duration_seconds": round(self.duration, 4),
-            "checks": [
-                {"name": c.name, "passed": c.passed, **({"detail": c.detail} if c.detail else {})}
-                for c in self.checks
-            ],
+            "checks": [check.as_dict() for check in self.checks],
         }
 
 
@@ -205,10 +200,19 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
     start = time.perf_counter()
     if ctx is None:
         ctx = FieldContext(ex.m)
-    checks: list[ExampleCheck] = []
+    checks: list[CheckItem] = []
 
     def check(name, passed, detail=""):
-        checks.append(ExampleCheck(name, bool(passed), detail))
+        checks.append(CheckItem(name, bool(passed), detail=detail))
+
+    def check_forms(label, fn, first, offset):
+        """Compare fn's first component with ``first`` and its component sum with ``offset``."""
+        pair = split(fn, ctx)
+        if first is not None:
+            check(f"{label}-first-form", pair.f0 == parse(first, ctx))
+        if offset is not None:
+            check(f"{label}-offset-form", pair.f0 + pair.f1 == parse(offset, ctx))
+        return pair
 
     f0 = parse(ex.f0, ctx)
     F = join(f0, f0 + trace_function(ctx))
@@ -223,19 +227,12 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
 
     pack = _six_pack_of(F, ctx)
     _, dual_F, pd0, pd1, pd0_dual, pd1_dual = pack.functions()
-    dual_pair = split(dual_F, ctx)
-    if ex.dual0 is not None:
-        expected = to_trace_form(parse(ex.dual0, ctx), ctx)
-        check("dual-first-form", to_trace_form(dual_pair.f0, ctx) == expected)
-    if ex.dual_offset is not None:
-        expected = to_trace_form(parse(ex.dual_offset, ctx), ctx)
-        check("dual-offset-form", to_trace_form(dual_pair.f0 + dual_pair.f1, ctx) == expected)
+    dual_pair = check_forms("dual", dual_F, ex.dual0, ex.dual_offset)
 
     support = dual_support_analysis(F, ctx)
     check("dual-support", support.passed)
     if ex.zero_indicator is not None:
-        expected = to_trace_form(parse(ex.zero_indicator, ctx), ctx)
-        check("zero-indicator-form", to_trace_form(support.g, ctx) == expected)
+        check("zero-indicator-form", support.g == parse(ex.zero_indicator, ctx))
 
     check("dual-unit-derivatives", check_dual_unit_derivatives(F, ctx).passed)
     if ex.d1_constant is not None:
@@ -246,20 +243,8 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
                      ("pseudo0-dual", pd0_dual), ("pseudo1-dual", pd1_dual)):
         check(f"{name}-bent", walsh(fn).classification is Classification.BENT)
 
-    if ex.pd0_dual0 is not None:
-        pair = split(pd0_dual, ctx)
-        check("pseudo0-dual-first-form",
-              to_trace_form(pair.f0, ctx) == to_trace_form(parse(ex.pd0_dual0, ctx), ctx))
-        if ex.pd0_dual_offset is not None:
-            expected = to_trace_form(parse(ex.pd0_dual_offset, ctx), ctx)
-            check("pseudo0-dual-offset-form", to_trace_form(pair.f0 + pair.f1, ctx) == expected)
-    if ex.pd1_dual0 is not None:
-        pair = split(pd1_dual, ctx)
-        check("pseudo1-dual-first-form",
-              to_trace_form(pair.f0, ctx) == to_trace_form(parse(ex.pd1_dual0, ctx), ctx))
-        if ex.pd1_dual_offset is not None:
-            expected = to_trace_form(parse(ex.pd1_dual_offset, ctx), ctx)
-            check("pseudo1-dual-offset-form", to_trace_form(pair.f0 + pair.f1, ctx) == expected)
+    check_forms("pseudo0-dual", pd0_dual, ex.pd0_dual0, ex.pd0_dual_offset)
+    check_forms("pseudo1-dual", pd1_dual, ex.pd1_dual0, ex.pd1_dual_offset)
 
     if ex.self_dual:
         check("self-dual", dual_F == F)
@@ -292,17 +277,25 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
     return ExampleResult(ex.example_id, checks, time.perf_counter() - start)
 
 
-def run_collision_demo(ctx: FieldContext | None = None) -> ExampleResult:
+def run_collision_demo() -> ExampleResult:
     """The non-injectivity demonstration as a catalogue entry."""
     start = time.perf_counter()
-    report = pseudo_dual_collision_demo(ctx)
-    checks = [ExampleCheck(item.name, item.passed) for item in report.report.items]
-    return ExampleResult("pseudo-dual-collision", checks, time.perf_counter() - start)
+    report = pseudo_dual_collision_demo()
+    return ExampleResult(COLLISION_ID, report.report.items, time.perf_counter() - start)
 
 
-def run_all(contexts: dict[int, FieldContext] | None = None) -> list[ExampleResult]:
-    """Run the whole catalogue plus the collision demonstration, in catalogue order."""
-    contexts = contexts or {}
-    results = [run_example(ex, contexts.get(ex.m)) for ex in EXAMPLES]
-    results.append(run_collision_demo(contexts.get(7)))
+def run_all(only: str = "") -> list[ExampleResult]:
+    """Run the catalogue entries whose id contains ``only``, then the collision
+    demonstration if its id does too.  An entry that raises a BentfnError
+    fails with one ``error`` check naming the exception."""
+    runs = {ex.example_id: partial(run_example, ex) for ex in EXAMPLES}
+    runs[COLLISION_ID] = run_collision_demo
+    results = []
+    for example_id, run in runs.items():
+        if only in example_id:
+            try:
+                results.append(run())
+            except BentfnError as exc:
+                error = CheckItem("error", False, detail=f"{type(exc).__name__}: {exc}")
+                results.append(ExampleResult(example_id, [error]))
     return results

@@ -60,6 +60,21 @@ def multiplicative_order_of_x(poly: int) -> int:
     return order
 
 
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, by trial division."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
 # ---------------------------------------------------------------------------
 # field arithmetic from the definitions
 

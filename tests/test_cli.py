@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from bentfn.boolfn import BooleanFunction
 from bentfn.cli import main
+from bentfn.errors import BentVerificationFailed
 from bentfn.tracerep import parse, to_trace_form
 from bentfn.tvr import split
 
@@ -16,6 +17,10 @@ def runner():
 
 def invoke(runner, args, **kwargs):
     return runner.invoke(main, args, catch_exceptions=False, **kwargs)
+
+
+def failing_six_pack(F, ctx):
+    raise BentVerificationFailed("a derived function failed the bent check")
 
 
 class TestAnalyze:
@@ -86,6 +91,20 @@ class TestAnalyze:
         )
         assert result.exit_code == 0
         assert "poly=0x89" in result.output
+
+    def test_poly_with_even_dimensional_expr_is_refused(self, runner, monkeypatch):
+        # one polynomial cannot name both GF(2^8), where the expression is
+        # parsed, and GF(2^7), which carries the components
+        def no_field(*args):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr("bentfn.cli.FieldContext", no_field)
+        result = invoke(
+            runner, ["analyze", "--dim", "8", "--expr", "tr(x^3)", "--poly", "0x11d"]
+        )
+        assert result.exit_code == 2
+        assert "--poly cannot name both GF(2^8)" in result.stderr
+        assert "GF(2^7)" in result.stderr
 
     def test_checks_flag(self, runner):
         result = invoke(
@@ -203,6 +222,15 @@ class TestSixpack:
         )
         assert result.exit_code == 0
 
+    def test_derived_bent_failure_exits_4(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr("bentfn.constructions._six_pack_of", failing_six_pack)
+        result = invoke(
+            runner,
+            ["sixpack", "--dim", "7", "--expr", "tr(x^3+x^9)", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 4
+        assert "verification failed: a derived function failed" in result.stderr
+
 
 class TestVerify:
     def test_passing_input(self, runner):
@@ -260,3 +288,16 @@ class TestExamples:
         result = invoke(runner, ["examples", "--json"])
         payload = json.loads(result.output)
         assert all(entry["passed"] for entry in payload["results"])
+
+    def test_entry_error_is_a_failed_check(self, runner, monkeypatch):
+        monkeypatch.setattr("bentfn.worked_examples._six_pack_of", failing_six_pack)
+        result = invoke(runner, ["examples", "--json"])
+        assert result.exit_code == 5
+        by_id = {entry["example_id"]: entry for entry in json.loads(result.output)["results"]}
+        assert by_id["quadratic-x3-x9"]["checks"] == [{
+            "name": "error",
+            "passed": False,
+            "detail": "BentVerificationFailed: a derived function failed the bent check",
+        }]
+        # the collision demonstration never builds a six-pack
+        assert by_id["pseudo-dual-collision"]["passed"] is True

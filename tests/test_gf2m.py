@@ -12,7 +12,14 @@ from bentfn.gf2m import (
     cyclotomic_cosets,
 )
 
-from helpers import gf_mul, gf_pow, gf_trace, is_reducible, multiplicative_order_of_x
+from helpers import (
+    gf_mul,
+    gf_pow,
+    gf_trace,
+    is_reducible,
+    multiplicative_order_of_x,
+    prime_factors,
+)
 
 
 class TestFieldConstruction:
@@ -30,6 +37,20 @@ class TestFieldConstruction:
         # independent oracle
         assert not is_reducible(ctx.primitive_poly)
         assert multiplicative_order_of_x(ctx.primitive_poly) == (1 << m) - 1
+
+    @pytest.mark.parametrize("m", sorted(DEFAULT_PRIMITIVE_POLYS))
+    def test_every_default_poly_has_x_of_full_order(self, m):
+        # x^n = 1 and x^(n/q) != 1 for every prime q dividing n = 2^m - 1,
+        # so x generates the multiplicative group; covers m up to MAX_DIMENSION
+        poly = DEFAULT_PRIMITIVE_POLYS[m]
+        n = (1 << m) - 1
+        assert gf_pow(2, n, poly) == 1
+        for q in prime_factors(n):
+            assert gf_pow(2, n // q, poly) != 1, q
+
+    def test_default_field_builds_at_m18(self):
+        ctx = FieldContext(18)
+        assert ctx.order == 1 << 18
 
     def test_explicit_primitive_poly(self):
         ctx = FieldContext(7, 0x83)  # x^7 + x + 1, primitive by exhaustive order check
