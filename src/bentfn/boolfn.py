@@ -101,7 +101,8 @@ class BooleanFunction:
         """The function x -> F(x) + F(x + e), point addition being XOR."""
         if not 0 <= e < len(self):
             raise ValueError(f"direction {e} out of range for dimension {self.m}")
-        idx = np.arange(len(self)) ^ e
+        idx = np.arange(len(self), dtype=np.int32)  # int32 indexes any table below 2^31
+        idx ^= e
         return BooleanFunction(self.m, self._table ^ self._table[idx])
 
     def is_constant(self):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import logging
 import re
 import sys
 from pathlib import Path
@@ -98,10 +99,30 @@ def _flags_text(flags: ConditionFlags) -> list[str]:
     return lines
 
 
+class _EchoHandler(logging.Handler):
+    """Writes each record to the standard error in use at the time."""
+
+    def emit(self, record):
+        click.echo(self.format(record), err=True)
+
+
+_LOG_HANDLER = _EchoHandler()
+_LOG_HANDLER.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+
+
 @click.group()
 @click.version_option(__version__)
-def main():
+@click.option("-v", "--verbose", is_flag=True,
+              help="Log debug messages of the bentfn.* loggers to stderr.")
+def main(verbose):
     """Bent/near-bent function toolkit with exact integer arithmetic."""
+    log = logging.getLogger("bentfn")
+    if verbose:
+        log.addHandler(_LOG_HANDLER)
+        log.setLevel(logging.DEBUG)
+    elif _LOG_HANDLER in log.handlers:  # an earlier in-process call had -v
+        log.removeHandler(_LOG_HANDLER)
+        log.setLevel(logging.NOTSET)
 
 
 def _resolve_input(dim, expr, expr_pair, table, poly):

@@ -336,7 +336,7 @@ def dual_support_analysis(F: BooleanFunction, ctx: FieldContext) -> DualSupportR
     values = walsh(pair.f0).trace_indexed(ctx)
 
     s = (values == -(1 << t)).astype(np.uint8)
-    s1 = s[np.arange(ctx.order) ^ 1]
+    s1 = s.reshape(-1, 2)[:, ::-1].ravel()  # s1[x] = s[x ^ 1], with no index array
     g = BooleanFunction(ctx.m, values == 0)
     dual_pair = split(dual(F, ctx), ctx)
 
@@ -400,15 +400,24 @@ def check_pseudo_dual_conditions(F: BooleanFunction, ctx: FieldContext) -> Check
             f"component sum is not tr or tr + 1 (distances {flags.dist_to_tr}, "
             f"{flags.dist_to_tr_plus_one})"
         )
-    pd0, pd1 = pseudo_duals(F, ctx)
+    pair = split(dual(F, ctx), ctx)
+    tr = trace_function(ctx)
     items = []
-    for i, pd in enumerate((pd0, pd1)):
-        bent_ok = walsh(pd).classification is Classification.BENT
-        items.append(CheckItem(f"pseudo{i}-bent", bent_ok))
-        if not bent_ok:
-            continue
-        sub = condition_flags(dual(pd, ctx), ctx)
-        expected_xi = i ^ flags.xi
+    for i, component in enumerate((pair.f0, pair.f1)):
+        items += _pseudo_dual_items(i, component, tr, flags.xi, ctx)
+    return CheckReport("pseudo-dual-conditions", items)
+
+
+def _pseudo_dual_items(i, component, tr, xi, ctx) -> list:
+    # builds and checks one pseudo-dual, so only one full-size spectrum is
+    # alive at a time; it is dropped as soon as the dual is taken
+    pd = join(component, component + tr)
+    bent_ok = walsh(pd).classification is Classification.BENT
+    items = [CheckItem(f"pseudo{i}-bent", bent_ok)]
+    if bent_ok:
+        pd = dual(pd, ctx)
+        sub = condition_flags(pd, ctx)
+        expected_xi = i ^ xi
         items.append(CheckItem(f"pseudo{i}-dual-meets-C", sub.has_C))
         items.append(
             CheckItem(
@@ -417,7 +426,7 @@ def check_pseudo_dual_conditions(F: BooleanFunction, ctx: FieldContext) -> Check
                 detail=f"observed xi={sub.xi}",
             )
         )
-    return CheckReport("pseudo-dual-conditions", items)
+    return items
 
 
 def check_spectrum_zero_set(f: BooleanFunction, ctx: FieldContext) -> CheckReport:

@@ -3,12 +3,15 @@
 Elements are integers whose bit i is the coefficient of alpha^i in the
 polynomial basis, alpha being a root of the chosen primitive polynomial.
 A :class:`FieldContext` is immutable after construction and safe to share
-across threads; construction itself is single-threaded.
+across threads; construction itself is single-threaded.  Its two lazily built
+tables (``log_table`` and ``dual_perm``) may be built twice under concurrent
+first use, with equal results.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,6 +23,9 @@ logger = logging.getLogger(__name__)
 
 MIN_DIMENSION = 2
 MAX_DIMENSION = 24
+
+_CHUNK_BITS = 12  # multiplication tables have at most 2^12 entries per chunk
+_BLOCK = 1 << 18  # entries per block of table lookups
 
 #: Pinned primitive polynomial per dimension (coefficient bitmask, bit i = x^i).
 #: Fixing these keeps truth-table files byte-for-byte reproducible across runs;
@@ -110,19 +116,30 @@ def coset_size(m: int, e: int) -> int:
 
 
 class FieldContext:
-    """A concrete GF(2^m) with eager log/antilog, trace and trace-form tables.
+    """A concrete GF(2^m) with antilog, log, trace and trace-form tables.
 
-    ``log_table[x]`` is the discrete log of a nonzero element x (-1 for 0) and
-    ``antilog_table[i]`` is alpha^i for 0 <= i < 2^m - 1.  ``trace_table`` has
+    ``antilog_table[i]`` is alpha^i for 0 <= i < 2^m - 1 and ``log_table[x]``
+    is the discrete log of a nonzero element x (-1 for 0).  ``trace_table`` has
     one bit per element.  ``gram_matrix[i][j] = tr(alpha^i * alpha^j)`` realizes
-    the trace bilinear form in coordinates.
+    the trace bilinear form in coordinates.  Every table is read-only.
+
+    Construction takes about m vectorised doublings, not 2^m - 1 Python steps.
+    Multiplication by alpha^k is GF(2)-linear, so alpha^(k+i) = alpha^k * alpha^i
+    fills entries k..2k-1 of the antilog table from entries 0..k-1 with one
+    lookup per chunk of at most 12 bits; applying the map to its own lookup
+    tables squares it to alpha^(2k).  The first i >= 1 with alpha^i = 1 is the
+    order of alpha, so any such i below 2^m - 1 rejects the polynomial.  The
+    traces of alpha^0..alpha^(2m-2) are Frobenius orbit sums, which give the
+    trace table and the Gram matrix.  The cost is O(2^m) in a few dozen NumPy
+    calls; the tables hold 4 bytes per element (antilog) and 1 byte (trace),
+    and ``log_table`` adds 4 bytes per element when first used.
     """
 
     __slots__ = (
         "m",
         "primitive_poly",
         "order",
-        "log_table",
+        "_log_table",
         "antilog_table",
         "trace_table",
         "gram_matrix",
@@ -148,71 +165,81 @@ class FieldContext:
         self.m = m
         self.primitive_poly = primitive_poly
         self.order = 1 << m
+        start = time.perf_counter()
         self._build_tables()
+        logger.debug("built GF(2^%d) with 0x%x in %.4f s", m, primitive_poly,
+                     time.perf_counter() - start)
         self._dual_perm = None
 
     def _build_tables(self):
         m, order, poly = self.m, self.order, self.primitive_poly
         n = order - 1
-        alog = np.zeros(n, dtype=np.int32)
-        log = np.full(order, -1, dtype=np.int32)
-        x = 1
-        for i in range(n):
-            if log[x] != -1:
-                raise NonPrimitivePolynomial(
-                    f"0x{poly:x} is not primitive: alpha has multiplicative order {i}"
-                )
-            alog[i] = x
-            log[x] = i
-            x <<= 1
-            if x & order:
-                x ^= poly
-        if x != 1:
+        # tables[c][v] = alpha^k * (v << c*width); each doubling fills
+        # alog[k:2k] = alpha^k * alog[:k] and squares the map (class docstring)
+        width = m if m <= _CHUNK_BITS else (m + 1) // 2
+        tables = []
+        for shift in range(0, m, width):
+            chunk = np.arange(1 << min(width, m - shift), dtype=np.int32) << (shift + 1)
+            chunk[chunk >= order] ^= poly
+            tables.append(chunk)  # k = 1
+        alog = np.empty(n, dtype=np.int32)
+        alog[0] = 1
+        k = 1
+        while k < n:
+            count = min(k, n - k)
+            _times_power(tables, alog[:count], alog[k : k + count])
+            k += count
+            if k < n:
+                tables = [_times_power(tables, chunk) for chunk in tables]
+        # alpha is invertible, so its powers return to 1 before repeating any
+        # other value: the first i >= 1 with alpha^i = 1 is the order of alpha
+        repeat = np.flatnonzero(alog[1:] == 1)
+        if repeat.size:
+            raise NonPrimitivePolynomial(
+                f"0x{poly:x} is not primitive: alpha has multiplicative order {repeat[0] + 1}"
+            )
+        last = int(alog[-1]) << 1
+        if last ^ (poly if last & order else 0) != 1:
             # unreachable once the n powers are distinct, kept as a guard
             raise NonPrimitivePolynomial(f"0x{poly:x} is not primitive")
-        log.setflags(write=False)
         alog.setflags(write=False)
-        self.log_table = log
         self.antilog_table = alog
+        self._log_table = None
 
-        # tr(alpha^j) for each basis element, via the Frobenius orbit sum
-        trace_mask = 0
-        for j in range(m):
-            y = int(alog[j])
-            acc = y
-            z = y
-            for _ in range(m - 1):
-                z = self._mul_nonzero(z, z)
-                acc ^= z
-            if acc not in (0, 1):
-                raise NonPrimitivePolynomial(
-                    f"0x{poly:x}: trace of alpha^{j} left the prime field"
-                )
-            trace_mask |= acc << j
-        points = np.arange(order, dtype=np.int64)
-        trace = (np.bitwise_count(points & trace_mask) & 1).astype(np.uint8)
+        # s[k] = tr(alpha^k) for k < 2m - 1, each the Frobenius orbit sum
+        # alpha^k + alpha^(2k) + ... + alpha^(2^(m-1) k)
+        powers = np.arange(m, dtype=np.int64)
+        exponents = (np.arange(2 * m - 1, dtype=np.int64)[:, None] << powers) % n
+        s = np.bitwise_xor.reduce(alog[exponents], axis=1)
+        if s.max() > 1:
+            raise NonPrimitivePolynomial(
+                f"0x{poly:x}: trace of alpha^{np.flatnonzero(s > 1)[0]} left the prime field"
+            )
+        bits = int.from_bytes(np.packbits(s, bitorder="little").tobytes(), "little")
+        trace = _parity_table(order, bits & n)  # bit j of the mask is tr(alpha^j)
         trace.setflags(write=False)
         self.trace_table = trace
 
-        # row i packs tr(alpha^(i+j)) over j; these are the images of the basis
-        # under the map realizing tr(a*x) as a coordinate dot product
-        rows = []
-        for i in range(m):
-            r = 0
-            for j in range(m):
-                r |= int(trace[alog[(i + j) % n]]) << j
-            rows.append(r)
-        self._dual_basis = tuple(rows)
-        gram = np.zeros((m, m), dtype=np.uint8)
-        for i in range(m):
-            for j in range(m):
-                gram[i, j] = (rows[i] >> j) & 1
+        # gram[i][j] = tr(alpha^(i+j)); row i packed over j is the image of the
+        # basis element alpha^i under the map realizing tr(a*x) as a dot product
+        gram = s[powers[:, None] + powers].astype(np.uint8)
         gram.setflags(write=False)
         self.gram_matrix = gram
-        if _gf2_row_rank(list(rows)) != m:
+        self._dual_basis = tuple((bits >> i) & n for i in range(m))
+        if _gf2_row_rank(self._dual_basis) != m:
             raise NonPrimitivePolynomial(
                 f"0x{poly:x}: trace bilinear form is degenerate"
             )
+
+    @property
+    def log_table(self) -> np.ndarray:
+        """Discrete logs, inverting antilog_table; built on first use."""
+        if self._log_table is None:
+            log = np.full(self.order, -1, dtype=np.int32)
+            log[self.antilog_table] = np.arange(self.order - 1, dtype=np.int32)
+            log.setflags(write=False)
+            self._log_table = log
+        return self._log_table
 
     def _mul_nonzero(self, a: int, b: int) -> int:
         n = self.order - 1
@@ -275,9 +302,7 @@ class FieldContext:
 
     def linear_form_table(self, a: int) -> np.ndarray:
         """Truth table of x -> tr(a*x)."""
-        u = self.dual_index(a)
-        points = np.arange(self.order, dtype=np.int64)
-        return (np.bitwise_count(points & u) & 1).astype(np.uint8)
+        return _parity_table(self.order, self.dual_index(a))
 
     def __eq__(self, other):
         return (
@@ -293,19 +318,39 @@ class FieldContext:
         return f"FieldContext(m={self.m}, primitive_poly=0x{self.primitive_poly:x})"
 
 
-def _gf2_row_rank(rows: list[int]) -> int:
-    rank = 0
-    for col in range(max(r.bit_length() for r in rows) if rows else 0):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if (rows[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and (rows[i] >> col) & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
+def _times_power(tables: list[np.ndarray], x: np.ndarray, out: np.ndarray | None = None):
+    """c * x for every entry of x, the linear map x -> c * x being given by a
+    lookup table for each chunk of bits of x (see FieldContext._build_tables)."""
+    if len(tables) == 1:
+        return tables[0].take(x, out=out)
+    low, high = tables
+    width = low.size.bit_length() - 1
+    if out is None:
+        out = np.empty_like(x)
+    # in blocks, so the temporaries stay small at m = 24
+    for start in range(0, x.size, _BLOCK):
+        block = x[start : start + _BLOCK]
+        dest = out[start : start + _BLOCK]
+        low.take(block & (low.size - 1), out=dest)
+        dest ^= high[block >> width]
+    return out
+
+
+def _parity_table(order: int, mask: int) -> np.ndarray:
+    """x -> parity of x & mask, for every x < order."""
+    points = np.arange(order, dtype=np.int32)
+    points &= mask
+    parity = np.bitwise_count(points)
+    parity &= 1
+    return parity
+
+
+def _gf2_row_rank(rows) -> int:
+    basis = []  # reduced rows with distinct leading bits, largest first
+    for r in rows:
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            basis.append(r)
+            basis.sort(reverse=True)
+    return len(basis)

@@ -22,6 +22,7 @@ from .errors import DimensionMismatch, DimensionOutOfRange, NotBent, NotNearBent
 from .gf2m import FieldContext
 
 MAX_WALSH_DIMENSION = 24
+_FWHT_BLOCK = 1 << 16
 
 
 class Classification(enum.Enum):
@@ -31,31 +32,38 @@ class Classification(enum.Enum):
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
-    # in-place butterfly; O(m 2^m) with |coefficients| <= 2^m, safe in int32
+    # in-place butterfly; O(m 2^m) with |coefficients| <= 2^m, safe in int32.
+    # Each level runs in pieces of at most _FWHT_BLOCK entries, so its one
+    # temporary has at most _FWHT_BLOCK / 2 entries at any size.
     size = values.size
+    half = _FWHT_BLOCK // 2
     h = 1
     while h < size:
-        view = values.reshape(-1, 2, h)
-        top = view[:, 0, :] + view[:, 1, :]
-        bottom = view[:, 0, :] - view[:, 1, :]
-        view[:, 0, :] = top
-        view[:, 1, :] = bottom
+        span = max(_FWHT_BLOCK, 2 * h)
+        for start in range(0, size, span):
+            pairs = values[start : start + span].reshape(-1, 2, h)
+            for lo in range(0, h, half):
+                top, bottom = pairs[:, 0, lo : lo + half], pairs[:, 1, lo : lo + half]
+                total = top + bottom
+                np.subtract(top, bottom, out=bottom)
+                top[...] = total
         h <<= 1
     return values
 
 
 def _classify(coeffs: np.ndarray, m: int) -> tuple[Classification, dict[int, int]]:
-    values, counts = np.unique(coeffs, return_counts=True)
-    histogram = {int(v): int(c) for v, c in zip(values, counts)}
-    present = set(histogram)
     if m % 2 == 0:
         flat = 1 << (m // 2)
-        label = Classification.BENT if present <= {flat, -flat} else Classification.NEITHER
+        label, allowed = Classification.BENT, (-flat, flat)
     else:
         peak = 1 << ((m + 1) // 2)
-        allowed = {0, peak, -peak}
-        label = Classification.NEAR_BENT if present <= allowed else Classification.NEITHER
-    return label, histogram
+        label, allowed = Classification.NEAR_BENT, (-peak, 0, peak)
+    # counting the allowed values needs no sorted copy of the spectrum
+    counts = [int(np.count_nonzero(coeffs == value)) for value in allowed]
+    if sum(counts) == coeffs.size:
+        return label, {value: count for value, count in zip(allowed, counts) if count}
+    values, counts = np.unique(coeffs, return_counts=True)
+    return Classification.NEITHER, {int(v): int(c) for v, c in zip(values, counts)}
 
 
 @dataclass(eq=False, frozen=True)
@@ -93,7 +101,9 @@ def walsh(f: BooleanFunction) -> WalshSpectrum:
     if f._spectrum is None:
         if f.m > MAX_WALSH_DIMENSION:
             raise DimensionOutOfRange(f"dimension {f.m} exceeds {MAX_WALSH_DIMENSION}")
-        signs = 1 - 2 * f.table.astype(np.int32)
+        signs = f.table.astype(np.int32)  # (-1)^F = 1 - 2F, built in place
+        signs *= -2
+        signs += 1
         coeffs = _fwht(signs)
         label, histogram = _classify(coeffs, f.m)
         coeffs.setflags(write=False)
@@ -152,6 +162,7 @@ def dual(F: BooleanFunction, ctx: FieldContext) -> BooleanFunction:
         raise NotBent(f"function is {spectrum.classification.value}, not bent")
     t = F.m // 2
     perm = ctx.dual_perm()
-    full_perm = np.concatenate([perm, perm + ctx.order])
-    table = (spectrum.coeffs[full_perm] == -(1 << t)).astype(np.uint8)
-    return BooleanFunction(F.m, table)
+    table = np.empty((2, ctx.order), dtype=np.uint8)
+    for half, coeffs in zip(table, spectrum.coeffs.reshape(2, ctx.order)):
+        np.equal(coeffs[perm], -(1 << t), out=half)
+    return BooleanFunction(F.m, table.ravel())

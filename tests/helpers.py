@@ -114,6 +114,29 @@ def gf_trace(a: int, poly: int) -> int:
     return acc
 
 
+def loop_field_tables(m: int, poly: int):
+    """(log, antilog, trace) tables of GF(2)[x]/(poly), stepping
+    alpha^(i+1) = alpha^i * x one element at a time.  The trace table is the
+    parity of x & mask, bit j of the mask being tr(alpha^j).  Raises
+    ValueError("order <i>") at the first power of alpha that repeats."""
+    order = 1 << m
+    log = np.full(order, -1, dtype=np.int32)
+    alog = np.zeros(order - 1, dtype=np.int32)
+    x = 1
+    for i in range(order - 1):
+        if log[x] != -1:
+            raise ValueError(f"order {i}")
+        alog[i] = x
+        log[x] = i
+        x <<= 1
+        if x & order:
+            x ^= poly
+    mask = sum(gf_trace(1 << j, poly) << j for j in range(m))
+    points = np.arange(order, dtype=np.int64)
+    trace = (np.bitwise_count(points & mask) & 1).astype(np.uint8)
+    return log, alog, trace
+
+
 def trace_poly_table(exponents, poly: int, constant: int = 0):
     """Evaluate tr(sum x^e + constant) at every point, from the definitions."""
     m = poly.bit_length() - 1
@@ -147,6 +170,16 @@ def naive_walsh_at_trace_point(f: BooleanFunction, poly: int, a: int) -> int:
     for x in range(len(f)):
         total += -1 if (f[x] ^ gf_trace(gf_mul(a, x, poly), poly)) else 1
     return total
+
+
+def kronecker_walsh(f: BooleanFunction) -> np.ndarray:
+    """The transform as the m-fold tensor power of [[1, 1], [1, -1]], applied
+    along each binary axis of the table in turn."""
+    values = (1 - 2 * f.table.astype(np.int64)).reshape((2,) * f.m)
+    hadamard = np.array([[1, 1], [1, -1]], dtype=np.int64)
+    for axis in range(f.m):
+        values = np.moveaxis(np.tensordot(hadamard, values, axes=([1], [axis])), 0, axis)
+    return values.reshape(-1)
 
 
 def naive_mobius(f: BooleanFunction) -> np.ndarray:

@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -21,6 +23,25 @@ def invoke(runner, args, **kwargs):
 
 def failing_six_pack(F, ctx):
     raise BentVerificationFailed("a derived function failed the bent check")
+
+
+class TestVerbose:
+    ARGS = ["analyze", "--dim", "8", "--expr-pair", "tr(x^3)", "+tr(x)"]
+
+    def test_logs_each_field_build(self, runner):
+        quiet = invoke(runner, self.ARGS)
+        loud = invoke(runner, ["-v", *self.ARGS])
+        assert quiet.exit_code == loud.exit_code == 0
+        assert loud.stdout == quiet.stdout
+        assert quiet.stderr == ""
+        assert re.fullmatch(r"bentfn\.gf2m: built GF\(2\^7\) with 0x83 in \d+\.\d{4} s\n",
+                            loud.stderr)
+
+    def test_later_call_without_flag_is_quiet(self, runner):
+        invoke(runner, ["--verbose", *self.ARGS])
+        result = invoke(runner, self.ARGS)
+        assert result.stderr == ""
+        assert not logging.getLogger("bentfn").handlers
 
 
 class TestAnalyze:

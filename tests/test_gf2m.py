@@ -17,6 +17,7 @@ from helpers import (
     gf_pow,
     gf_trace,
     is_reducible,
+    loop_field_tables,
     multiplicative_order_of_x,
     prime_factors,
 )
@@ -84,6 +85,59 @@ class TestFieldConstruction:
     def test_log_antilog_inverse(self, ctx7):
         for x in range(1, 128):
             assert ctx7.antilog_table[ctx7.log_table[x]] == x
+
+
+class TestTableConstruction:
+    """The doubling construction against the element-by-element loop."""
+
+    @pytest.mark.parametrize(
+        "m, poly",
+        [(m, DEFAULT_PRIMITIVE_POLYS[m]) for m in range(2, 19)]
+        + [(7, 0x89), (12, 0x1069), (13, 0x2027), (16, 0x1002d)],
+    )
+    def test_tables_match_loop(self, m, poly):
+        log, alog, trace = loop_field_tables(m, poly)
+        ctx = FieldContext(m, poly)
+        for name, expected in (("log_table", log), ("antilog_table", alog),
+                               ("trace_table", trace)):
+            table = getattr(ctx, name)
+            assert table.dtype == expected.dtype, name
+            assert np.array_equal(table, expected), name
+        # the gram matrix and the linear forms come from the same trace
+        points = np.arange(ctx.order, dtype=np.int64)
+        for a in (1, 2, ctx.order - 1):
+            mask = ctx.dual_index(a)
+            assert np.array_equal(ctx.linear_form_table(a),
+                                  (np.bitwise_count(points & mask) & 1).astype(np.uint8))
+        gram = [[trace[alog[i + j]] for j in range(m)] for i in range(m)]
+        assert np.array_equal(ctx.gram_matrix, np.array(gram, dtype=np.uint8))
+
+    @pytest.mark.parametrize("m, poly, k", [(4, 0x1F, 5), (4, 0x15, 6), (5, 0x27, 14)])
+    def test_non_primitive_reports_order(self, m, poly, k):
+        assert multiplicative_order_of_x(poly) == k
+        with pytest.raises(ValueError, match=f"^order {k}$"):
+            loop_field_tables(m, poly)
+        with pytest.raises(NonPrimitivePolynomial, match=f"multiplicative order {k}$"):
+            FieldContext(m, poly)
+
+    def test_tables_read_only(self, ctx7):
+        for name in ("log_table", "antilog_table", "trace_table", "gram_matrix"):
+            table = getattr(ctx7, name)
+            assert not table.flags.writeable, name
+            with pytest.raises(ValueError):
+                table[0] = table[0]
+        assert not ctx7.dual_perm().flags.writeable
+
+    def test_field_builds_at_max_dimension(self):
+        ctx = FieldContext(24)
+        poly, n = ctx.primitive_poly, (1 << 24) - 1
+        last = int(ctx.antilog_table[n - 1])
+        assert ctx.mul(last, 2) == 1 == gf_mul(last, 2, poly)  # alpha^(2^24 - 1) = 1
+        rng = np.random.default_rng(24)
+        for i in rng.integers(0, n, 20):
+            assert ctx.antilog_table[i] == gf_pow(2, int(i), poly)
+        for x in rng.integers(1, ctx.order, 20):
+            assert ctx.antilog_table[ctx.log_table[x]] == x
 
 
 class TestArithmetic:

@@ -13,7 +13,7 @@ from bentfn.spectrum import (
 )
 from bentfn.tvr import join
 
-from helpers import naive_walsh, naive_walsh_at_trace_point, random_function
+from helpers import kronecker_walsh, naive_walsh, naive_walsh_at_trace_point, random_function
 
 
 class TestTransform:
@@ -33,6 +33,13 @@ class TestTransform:
         rng = np.random.default_rng(m)
         f = random_function(rng, m)
         assert np.array_equal(walsh(f).coeffs, naive_walsh(f))
+
+    @pytest.mark.parametrize("m", [16, 17, 18])
+    def test_matches_kronecker_across_blocks(self, m):
+        # the butterfly runs in pieces of 2^16 entries; these sizes fill one,
+        # two and four of them
+        f = random_function(np.random.default_rng(m), m)
+        assert np.array_equal(walsh(f).coeffs, kronecker_walsh(f))
 
     def test_parseval(self):
         rng = np.random.default_rng(0)
@@ -90,6 +97,20 @@ class TestClassification:
     def test_histogram_is_exact(self, ctx7):
         s = walsh(trace_polynomial(ctx7, [13]))
         assert s.histogram == {-16: 28, 0: 64, 16: 36}
+
+    def test_histogram_counts_every_value_in_order(self, ctx7):
+        tr = trace_function(ctx7)
+        functions = [
+            trace_polynomial(ctx7, [13]),  # near-bent
+            join(trace_polynomial(ctx7, [3]), trace_polynomial(ctx7, [3]) + tr),  # bent
+            BooleanFunction.constant(6, 1),  # neither, one value
+            random_function(np.random.default_rng(3), 9),  # neither, many values
+        ]
+        for f in functions:
+            s = walsh(f)
+            values, counts = np.unique(naive_walsh(f), return_counts=True)
+            expected = {int(v): int(c) for v, c in zip(values, counts)}
+            assert list(s.histogram.items()) == list(expected.items())
 
 
 class TestNearBentDistribution:
