@@ -133,6 +133,9 @@ class BooleanFunction:
     @classmethod
     def from_hex(cls, m: int, digits: str) -> "BooleanFunction":
         data = bytes.fromhex(digits)
+        if m > len(data).bit_length() + 2:
+            # 2^m bits need 2^(m-3) bytes, more than given: refuse before forming 2^m
+            raise ValueError(f"expected 2^{m - 3} bytes for dimension {m}, got {len(data)}")
         expected = ((1 << m) + 7) // 8
         if len(data) != expected:
             raise ValueError(f"expected {expected} bytes for dimension {m}, got {len(data)}")

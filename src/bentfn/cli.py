@@ -1,8 +1,11 @@
 """Command-line front end: analyze functions, generate families, verify, and
 reproduce the bundled worked examples.
 
-Exit codes: 0 success, 2 input error, 3 generation precondition failure,
-4 verification failure, 5 worked-example mismatch.
+Exit codes, with the stderr line of a failure (``_EXIT_CODES`` maps exceptions):
+0 success; 2 input error, "error: ..." (an output that cannot be written is one);
+3 precondition failure, "precondition failed: ..."; 4 verification failure,
+"verification failed: ..." (also ``verify`` when a check fails); 5 worked-example
+mismatch (``examples``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
     NotBent,
     NotNearBent,
 )
-from .gf2m import FieldContext
+from .gf2m import MAX_DIMENSION, FieldContext
 from .spectrum import walsh
 from .tracerep import parse, to_trace_form
 from .tvr import join, split
@@ -55,6 +58,8 @@ def _parse_poly(text: str) -> int:
         elif term == "x":
             mask ^= 2
         elif re.fullmatch(r"x\^\d+", term):
+            if int(term[2:]) > MAX_DIMENSION:
+                raise click.UsageError(f"polynomial term {term!r} is above degree {MAX_DIMENSION}")
             mask ^= 1 << int(term[2:])
         else:
             raise click.UsageError(f"cannot parse polynomial term {term!r}")
@@ -99,6 +104,31 @@ def _flags_text(flags: ConditionFlags) -> list[str]:
     return lines
 
 
+#: (failure kinds, exit code, stderr prefix); the first row that matches wins,
+#: and the last row's kinds cover all the others
+_EXIT_CODES = (
+    ((NotNearBent, DerivativeNotConstant, ConditionViolation, InvalidExponentSet),
+     3, "precondition failed"),
+    ((BentVerificationFailed, NotBent), 4, "verification failed"),
+    ((BentfnError, ValueError, OSError), 2, "error"),
+)
+
+
+class _Cli(click.Group):
+    """Ends a command's failure in its exit code from ``_EXIT_CODES``."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:  # a closed stdout is click's to handle
+            raise
+        except _EXIT_CODES[-1][0] as exc:
+            code, prefix = next((code, prefix) for kinds, code, prefix in _EXIT_CODES
+                                if isinstance(exc, kinds))
+            click.echo(f"{prefix}: {exc}", err=True)
+            sys.exit(code)
+
+
 class _EchoHandler(logging.Handler):
     """Writes each record to the standard error in use at the time."""
 
@@ -110,7 +140,7 @@ _LOG_HANDLER = _EchoHandler()
 _LOG_HANDLER.setFormatter(logging.Formatter("%(name)s: %(message)s"))
 
 
-@click.group()
+@click.group(cls=_Cli)
 @click.version_option(__version__)
 @click.option("-v", "--verbose", is_flag=True,
               help="Log debug messages of the bentfn.* loggers to stderr.")
@@ -174,39 +204,35 @@ def _resolve_input(dim, expr, expr_pair, table, poly):
 @click.option("--timestamps", is_flag=True, help="include a generation timestamp in JSON")
 def analyze(dim, expr, expr_pair, table, poly, as_json, full_spectrum, checks, timestamps):
     """Classify a function and report weight, degree, spectrum, and trace forms."""
-    try:
-        fn, ctx, descriptor = _resolve_input(dim, expr, expr_pair, table, poly)
-        spectrum = walsh(fn)
-        payload = {
-            "input": descriptor,
-            "dimension": fn.m,
-            "field": _field_descriptor(ctx),
-            "weight": fn.weight(),
-            "degree": fn.degree(),
-            "balanced": fn.is_balanced(),
-            "classification": spectrum.classification.value,
-            "spectrum": {"histogram": {str(k): v for k, v in sorted(spectrum.histogram.items())}},
-            "table_hex": fn.table_hex(),
+    fn, ctx, descriptor = _resolve_input(dim, expr, expr_pair, table, poly)
+    spectrum = walsh(fn)
+    payload = {
+        "input": descriptor,
+        "dimension": fn.m,
+        "field": _field_descriptor(ctx),
+        "weight": fn.weight(),
+        "degree": fn.degree(),
+        "balanced": fn.is_balanced(),
+        "classification": spectrum.classification.value,
+        "spectrum": {"histogram": {str(k): v for k, v in sorted(spectrum.histogram.items())}},
+        "table_hex": fn.table_hex(),
+    }
+    if full_spectrum:
+        payload["spectrum"]["coefficients"] = [int(c) for c in spectrum.coeffs]
+    if fn.m % 2 == 0:
+        pair = split(fn, ctx)
+        flags = condition_flags(fn, ctx)
+        payload["condition_flags"] = flags.as_dict()
+        payload["components"] = {
+            "f0": _trace_form_entry(pair.f0, ctx),
+            "f1": _trace_form_entry(pair.f1, ctx),
         }
-        if full_spectrum:
-            payload["spectrum"]["coefficients"] = [int(c) for c in spectrum.coeffs]
-        if fn.m % 2 == 0:
-            pair = split(fn, ctx)
-            flags = condition_flags(fn, ctx)
-            payload["condition_flags"] = flags.as_dict()
-            payload["components"] = {
-                "f0": _trace_form_entry(pair.f0, ctx),
-                "f1": _trace_form_entry(pair.f1, ctx),
-            }
-        else:
-            payload["trace_form"] = _trace_form_entry(fn, ctx)
-        suite = None
-        if checks and fn.m % 2 == 0:
-            suite = verify_function(fn, ctx)
-            payload["checks"] = suite.as_dict()
-    except (BentfnError, ValueError, click.UsageError) as exc:
-        _input_error(exc)
-
+    else:
+        payload["trace_form"] = _trace_form_entry(fn, ctx)
+    suite = None
+    if checks and fn.m % 2 == 0:
+        suite = verify_function(fn, ctx)
+        payload["checks"] = suite.as_dict()
     if as_json:
         click.echo(_json_out(payload, timestamps))
         return
@@ -226,13 +252,6 @@ def analyze(dim, expr, expr_pair, table, poly, as_json, full_spectrum, checks, t
         click.echo(f"trace form:     {payload['trace_form']['text']}")
     if suite is not None:
         _echo_suite(suite)
-
-
-def _input_error(exc):
-    if isinstance(exc, click.UsageError):
-        raise exc
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(2)
 
 
 def _echo_suite(suite):
@@ -289,15 +308,11 @@ def _emit_generated(F, ctx, family, params, out, as_json, timestamps, filename):
 @click.option("--timestamps", is_flag=True)
 def generate_kasami_welch(t, s, poly, out, as_json, timestamps):
     """Join tr(x^d) with tr(x^d)+tr(x) for the exponent d = 4^s - 2^s + 1."""
-    try:
-        d, branch = kasami_welch_exponent(t, s)
-        ctx = _field(2 * t - 1, poly)
-        F = kasami_welch(t, s, ctx)
-    except ConditionViolation as exc:
-        click.echo(f"condition violated: {exc}", err=True)
-        sys.exit(3)
-    except (BentfnError, ValueError) as exc:
-        _input_error(exc)
+    if t < 2:
+        raise ConditionViolation(f"t must be at least 2, got {t}")
+    ctx = _field(2 * t - 1, poly)  # before 4^s is formed from a huge s
+    d, branch = kasami_welch_exponent(t, s)
+    F = kasami_welch(t, s, ctx)
     _emit_generated(
         F, ctx, "kasami-welch",
         {"t": t, "s": s, "exponent": d, "congruence_branch": branch},
@@ -319,16 +334,10 @@ def generate_quadratic(t, j_set, poly, out, as_json, timestamps):
         J = [int(part) for part in j_set.split(",") if part.strip() != ""]
     except ValueError:
         raise click.UsageError(f"cannot parse exponent set {j_set!r}")
-    try:
-        if t < 2:
-            raise ConditionViolation(f"t must be at least 2, got {t}")
-        ctx = _field(2 * t - 1, poly)
-        F = quadratic_family(t, J, ctx)
-    except (ConditionViolation, InvalidExponentSet, NotNearBent) as exc:
-        click.echo(f"condition violated: {exc}", err=True)
-        sys.exit(3)
-    except (BentfnError, ValueError) as exc:
-        _input_error(exc)
+    if t < 2:
+        raise ConditionViolation(f"t must be at least 2, got {t}")
+    ctx = _field(2 * t - 1, poly)
+    F = quadratic_family(t, J, ctx)
     label = "-".join(str(j) for j in sorted(set(J)))
     _emit_generated(
         F, ctx, "quadratic", {"t": t, "J": sorted(set(J))},
@@ -351,29 +360,19 @@ def generate_quadratic(t, j_set, poly, out, as_json, timestamps):
 @click.option("--timestamps", is_flag=True)
 def sixpack(dim, expr, table, normalize, poly, out, prefix, as_json, timestamps):
     """Construct the six bent functions grown from a qualifying near-bent seed."""
-    try:
-        if (expr is None) == (table is None):
-            raise click.UsageError("give exactly one of --expr, --table")
-        if table:
-            f0 = BooleanFunction.load(table)
-            ctx = _field(f0.m, poly)
-        else:
-            if dim is None:
-                raise click.UsageError("--dim is required with --expr")
-            ctx = _field(dim, poly)
-            f0 = parse(expr, ctx)
-    except (BentfnError, ValueError, click.UsageError) as exc:
-        _input_error(exc)
-    try:
-        if normalize:
-            f0 = normalize_near_bent(f0, ctx)
-        pack = six_pack(f0, ctx)
-    except (NotNearBent, DerivativeNotConstant, ConditionViolation) as exc:
-        click.echo(f"precondition failed: {exc}", err=True)
-        sys.exit(3)
-    except (BentVerificationFailed, NotBent) as exc:
-        click.echo(f"verification failed: {exc}", err=True)
-        sys.exit(4)
+    if (expr is None) == (table is None):
+        raise click.UsageError("give exactly one of --expr, --table")
+    if table:
+        f0 = BooleanFunction.load(table)
+        ctx = _field(f0.m, poly)
+    else:
+        if dim is None:
+            raise click.UsageError("--dim is required with --expr")
+        ctx = _field(dim, poly)
+        f0 = parse(expr, ctx)
+    if normalize:
+        f0 = normalize_near_bent(f0, ctx)
+    pack = six_pack(f0, ctx)
 
     # one interpolation per distinct table: the seed is base.f0, and
     # pseudo-dual components repeat
@@ -430,13 +429,10 @@ def _classes_text(classes):
 @click.option("--timestamps", is_flag=True)
 def verify(dim, expr_pair, table, poly, as_json, timestamps):
     """Run every applicable checker on a bent function; exit 4 on any failure."""
-    try:
-        fn, ctx, descriptor = _resolve_input(dim, None, expr_pair, table, poly)
-        if fn.m % 2:
-            raise click.UsageError("verification needs an even-dimensional function")
-        suite = verify_function(fn, ctx)
-    except (BentfnError, ValueError, click.UsageError) as exc:
-        _input_error(exc)
+    fn, ctx, descriptor = _resolve_input(dim, None, expr_pair, table, poly)
+    if fn.m % 2:
+        raise click.UsageError("verification needs an even-dimensional function")
+    suite = verify_function(fn, ctx)
     if as_json:
         click.echo(_json_out({"input": descriptor, "field": _field_descriptor(ctx),
                               **suite.as_dict()}, timestamps))

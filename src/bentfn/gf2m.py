@@ -176,12 +176,7 @@ class FieldContext:
         n = order - 1
         # tables[c][v] = alpha^k * (v << c*width); each doubling fills
         # alog[k:2k] = alpha^k * alog[:k] and squares the map (class docstring)
-        width = m if m <= _CHUNK_BITS else (m + 1) // 2
-        tables = []
-        for shift in range(0, m, width):
-            chunk = np.arange(1 << min(width, m - shift), dtype=np.int32) << (shift + 1)
-            chunk[chunk >= order] ^= poly
-            tables.append(chunk)  # k = 1
+        tables = _linear_tables([(2 << j) ^ (poly if j == m - 1 else 0) for j in range(m)])
         alog = np.empty(n, dtype=np.int32)
         alog[0] = 1
         k = 1
@@ -282,9 +277,7 @@ class FieldContext:
         """dual_index applied to every element, as a permutation array."""
         if self._dual_perm is None:
             points = np.arange(self.order, dtype=np.int32)
-            perm = np.zeros(self.order, dtype=np.int32)
-            for j, row in enumerate(self._dual_basis):
-                perm ^= ((points >> j) & 1) * row
+            perm = _times_power(_linear_tables(self._dual_basis), points)
             perm.setflags(write=False)
             self._dual_perm = perm
         return self._dual_perm
@@ -318,9 +311,25 @@ class FieldContext:
         return f"FieldContext(m={self.m}, primitive_poly=0x{self.primitive_poly:x})"
 
 
+def _linear_tables(images) -> list[np.ndarray]:
+    """Lookup tables of the GF(2)-linear map sending bit j to images[j], for
+    _times_power: one table when m <= _CHUNK_BITS, else one for each half."""
+    m = len(images)
+    width = m if m <= _CHUNK_BITS else (m + 1) // 2
+    tables = []
+    for shift in range(0, m, width):
+        rows = images[shift : shift + width]
+        table = np.zeros(1 << len(rows), dtype=np.int32)
+        for j, row in enumerate(rows):
+            table[1 << j : 2 << j] = table[: 1 << j] ^ row
+        tables.append(table)
+    return tables
+
+
 def _times_power(tables: list[np.ndarray], x: np.ndarray, out: np.ndarray | None = None):
     """c * x for every entry of x, the linear map x -> c * x being given by a
-    lookup table for each chunk of bits of x (see FieldContext._build_tables)."""
+    lookup table for each chunk of bits of x (see _linear_tables); any other
+    GF(2)-linear map given that way is applied the same way."""
     if len(tables) == 1:
         return tables[0].take(x, out=out)
     low, high = tables

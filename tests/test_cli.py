@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -23,6 +24,13 @@ def invoke(runner, args, **kwargs):
 
 def failing_six_pack(F, ctx):
     raise BentVerificationFailed("a derived function failed the bent check")
+
+
+def assert_failure(result, code, prefix):
+    """The documented exit code and one stderr line with the table's prefix."""
+    assert result.exit_code == code
+    assert result.stderr.startswith(f"{prefix}: ")
+    assert result.stderr.count("\n") == 1, result.stderr
 
 
 class TestVerbose:
@@ -127,6 +135,16 @@ class TestAnalyze:
         assert "--poly cannot name both GF(2^8)" in result.stderr
         assert "GF(2^7)" in result.stderr
 
+    @pytest.mark.parametrize("m", [400_000_000, 40_000_000_000])
+    def test_oversized_header_exits_2(self, runner, tmp_path, m):
+        path = tmp_path / "huge.bf"
+        path.write_text(f"BF m={m}\n00\n")
+        start = time.perf_counter()
+        result = invoke(runner, ["analyze", "--table", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert_failure(result, 2, "error")
+        assert f"dimension {m}" in result.stderr
+
     def test_checks_flag(self, runner):
         result = invoke(
             runner,
@@ -183,6 +201,40 @@ class TestGenerate:
         assert result.exit_code == 3
         assert "t must be at least 2" in result.stderr
 
+    @pytest.mark.parametrize("t, code, prefix", [
+        (1, 3, "precondition failed"),
+        # s = (2t - 2)/3 meets 3s = -1 mod 2t - 1, so t = 10^12 passes every
+        # condition on (t, s) and only the field can refuse it before 4^s is formed
+        (10**12, 2, "error"),
+    ])
+    def test_kasami_welch_t_out_of_range(self, runner, tmp_path, t, code, prefix):
+        result = invoke(
+            runner,
+            ["generate", "kasami-welch", "--t", str(t), "--s", str((2 * t - 2) // 3),
+             "--out", str(tmp_path)],
+        )
+        assert_failure(result, code, prefix)
+
+    def test_output_that_is_a_directory_exits_2(self, runner, tmp_path):
+        (tmp_path / "kasami_welch_t4_s2.bf").mkdir()
+        result = invoke(
+            runner,
+            ["generate", "kasami-welch", "--t", "4", "--s", "2", "--out", str(tmp_path)],
+        )
+        assert_failure(result, 2, "error")
+        assert result.stdout == ""
+
+    def test_defensive_bent_failure_exits_4(self, runner, tmp_path, monkeypatch):
+        def failing_kasami_welch(t, s, ctx):
+            raise BentVerificationFailed(f"joined function for t={t}, s={s} failed")
+
+        monkeypatch.setattr("bentfn.cli.kasami_welch", failing_kasami_welch)
+        result = invoke(
+            runner,
+            ["generate", "kasami-welch", "--t", "4", "--s", "2", "--out", str(tmp_path)],
+        )
+        assert_failure(result, 4, "verification failed")
+
 
 class TestSixpack:
     def test_writes_six_files(self, runner, tmp_path):
@@ -226,6 +278,15 @@ class TestSixpack:
             ["sixpack", "--dim", "7", "--expr", "tr(x^13)", "--out", str(tmp_path)],
         )
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("prefix", ["missing/x", "p" * 300])
+    def test_unwritable_prefix_exits_2(self, runner, tmp_path, prefix):
+        result = invoke(
+            runner,
+            ["sixpack", "--dim", "7", "--expr", "tr(x^3)", "--out", str(tmp_path),
+             "--prefix", prefix],
+        )
+        assert_failure(result, 2, "error")
 
     def test_normalize_cannot_rescue_kasami(self, runner, tmp_path):
         result = invoke(

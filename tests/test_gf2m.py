@@ -264,12 +264,17 @@ class TestDualIndex:
             for x in range(ctx.order):
                 assert ((u & x).bit_count() & 1) == ctx.trace(ctx.mul(a, x))
 
-    def test_bijection_and_linearity(self, ctx7):
-        perm = ctx7.dual_perm()
-        assert sorted(int(v) for v in perm) == list(range(128))
+    def test_bijection_and_linearity(self):
+        # m = 7 uses one chunk table; 13 and 15 use two, of 7 + 6 and 8 + 7 bits
         rng = np.random.default_rng(2)
-        for a, b in rng.integers(0, 128, (100, 2)):
-            assert perm[a ^ b] == perm[a] ^ perm[b]
+        for m in (7, 13, 15):
+            ctx = FieldContext(m)
+            perm = ctx.dual_perm()
+            assert np.array_equal(np.sort(perm), np.arange(ctx.order))
+            for a, b in rng.integers(0, ctx.order, (100, 2)):
+                assert perm[a ^ b] == perm[a] ^ perm[b]
+            for a in rng.integers(0, ctx.order, 50):
+                assert perm[a] == ctx.dual_index(int(a))
 
     def test_gram_matrix_symmetric(self, ctx7):
         assert np.array_equal(ctx7.gram_matrix, ctx7.gram_matrix.T)
