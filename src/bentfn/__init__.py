@@ -69,7 +69,14 @@ from .spectrum import (
     walsh,
     walsh_at_field_point,
 )
-from .tracerep import TraceForm, format_trace_form, mattson_solomon, parse, to_trace_form
+from .tracerep import (
+    TraceForm,
+    format_trace_form,
+    mattson_solomon,
+    parse,
+    to_trace_form,
+    trace_forms,
+)
 from .tvr import (
     ComponentIdentityReport,
     TvrPair,

@@ -11,10 +11,14 @@ mismatch (``examples``).
 from __future__ import annotations
 
 import datetime
+import errno
 import json
 import logging
+import os
 import re
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import click
@@ -42,7 +46,7 @@ from .errors import (
 )
 from .gf2m import MAX_DIMENSION, FieldContext
 from .spectrum import walsh
-from .tracerep import parse, to_trace_form
+from .tracerep import parse, to_trace_form, trace_forms
 from .tvr import join, split
 from .worked_examples import run_all
 
@@ -81,10 +85,6 @@ def _json_out(payload: dict, timestamps: bool) -> str:
 
 def _field_descriptor(ctx: FieldContext) -> dict:
     return {"m": ctx.m, "primitive_poly": f"0x{ctx.primitive_poly:x}"}
-
-
-def _trace_form_entry(fn: BooleanFunction, ctx: FieldContext) -> dict:
-    return to_trace_form(fn, ctx).as_dict(ctx)
 
 
 def _flags_text(flags: ConditionFlags) -> list[str]:
@@ -223,12 +223,13 @@ def analyze(dim, expr, expr_pair, table, poly, as_json, full_spectrum, checks, t
         pair = split(fn, ctx)
         flags = condition_flags(fn, ctx)
         payload["condition_flags"] = flags.as_dict()
+        forms = trace_forms([pair.f0, pair.f1], ctx)
         payload["components"] = {
-            "f0": _trace_form_entry(pair.f0, ctx),
-            "f1": _trace_form_entry(pair.f1, ctx),
+            "f0": forms[0].as_dict(ctx),
+            "f1": forms[1].as_dict(ctx),
         }
     else:
-        payload["trace_form"] = _trace_form_entry(fn, ctx)
+        payload["trace_form"] = to_trace_form(fn, ctx).as_dict(ctx)
     suite = None
     if checks and fn.m % 2 == 0:
         suite = verify_function(fn, ctx)
@@ -284,7 +285,7 @@ def _emit_generated(F, ctx, family, params, out, as_json, timestamps, filename):
         "classification": walsh(F).classification.value,
         "weight": F.weight(),
         "degree": F.degree(),
-        "f0_trace_form": _trace_form_entry(pair.f0, ctx),
+        "f0_trace_form": to_trace_form(pair.f0, ctx).as_dict(ctx),
         "table_hex": F.table_hex(),
         "file": str(path),
     }
@@ -373,34 +374,27 @@ def sixpack(dim, expr, table, normalize, poly, out, prefix, as_json, timestamps)
     if normalize:
         f0 = normalize_near_bent(f0, ctx)
     pack = six_pack(f0, ctx)
-
-    # one interpolation per distinct table: the seed is base.f0, and
-    # pseudo-dual components repeat
-    forms = {}
-
-    def trace_form(fn):
-        key = fn.table.tobytes()
-        if key not in forms:
-            forms[key] = _trace_form_entry(fn, ctx)
-        return forms[key]
-
-    out_dir = Path(out)
-    entries = {}
-    for label, fn in pack.labeled().items():
-        path = out_dir / f"{prefix}_{label}.bf"
-        fn.save(path)
+    labeled = pack.labeled()
+    components = []
+    for fn in labeled.values():
         pair = split(fn, ctx)
+        components += [pair.f0, pair.f1]
+    seed_form, *forms = [form.as_dict(ctx) for form in trace_forms([f0, *components], ctx)]
+    files = {Path(out) / f"{prefix}_{label}.bf": fn for label, fn in labeled.items()}
+    _save_all(files)
+    entries = {}
+    for i, ((label, fn), path) in enumerate(zip(labeled.items(), files)):
         entries[label] = {
             "file": str(path),
-            "f0_trace_form": trace_form(pair.f0),
-            "f1_trace_form": trace_form(pair.f1),
+            "f0_trace_form": forms[2 * i],
+            "f1_trace_form": forms[2 * i + 1],
             "table_hex": fn.table_hex(),
         }
     exact = pack.coincidence_classes()
     reduced = pack.coincidence_classes(modulo_structural_forms=True)
     payload = {
         "field": _field_descriptor(ctx),
-        "seed_trace_form": trace_form(f0),
+        "seed_trace_form": seed_form,
         "functions": entries,
         "coincidence_classes": {"exact": exact, "modulo_structural_forms": reduced},
     }
@@ -412,6 +406,25 @@ def sixpack(dim, expr, table, normalize, poly, out, prefix, as_json, timestamps)
         click.echo(f"{label:13s} f0: {entries[label]['f0_trace_form']['text']}")
     click.echo(f"coincidence classes (exact):            {_classes_text(exact)}")
     click.echo(f"coincidence classes (modulo nu and tr): {_classes_text(reduced)}")
+
+
+def _save_all(files: dict[Path, BooleanFunction]) -> None:
+    """Writes every file or none.  The tables go to a staging directory beside
+    their targets, under the targets' own names, so a name that cannot be
+    written fails before any target is touched; they are moved into place only
+    once all are written and no target is a directory."""
+    (parent,) = {path.parent for path in files}
+    staging = Path(tempfile.mkdtemp(prefix=".bentfn-", dir=parent))
+    try:
+        for path, fn in files.items():
+            fn.save(staging / path.name)
+        for path in files:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path in files:
+            os.replace(staging / path.name, path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _classes_text(classes):

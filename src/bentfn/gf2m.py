@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,10 +64,10 @@ class CyclotomicCoset:
 
     leader: int
     members: tuple[int, ...]
+    size: int = field(init=False)
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    def __post_init__(self):
+        object.__setattr__(self, "size", len(self.members))
 
 
 @lru_cache(maxsize=None)
@@ -88,6 +89,12 @@ def cyclotomic_cosets(m: int) -> tuple[CyclotomicCoset, ...]:
             x = (x << 1) % n
         cosets.append(CyclotomicCoset(e, tuple(sorted(members))))
     return tuple(cosets)
+
+
+@lru_cache(maxsize=None)
+def coset_sizes(m: int) -> MappingProxyType:
+    """Read-only map coset leader -> coset size mod 2^m - 1, built once per m."""
+    return MappingProxyType({coset.leader: coset.size for coset in cyclotomic_cosets(m)})
 
 
 def coset_leader(m: int, e: int) -> int:

@@ -9,6 +9,12 @@ O(|supp| * n/m); the form is then evaluated back, in O(n^2/m) for a dense
 form, and must reproduce the input exactly.  Forms are compared coset-wise,
 so listings that use a non-leader exponent (tr(x^a) = tr(x^2a)) normalize to
 the same object.
+
+``trace_forms`` serves several tables over one field, such as the components
+of a six-pack, which the construction join(f0, f0 + tr + xi) keeps in few
+classes modulo {0, 1, tr, tr + 1}.  It interpolates once per class and derives
+the other members' forms exactly: adding tr + b changes only the constant and
+the coefficient of x.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .errors import (
     NotBooleanConsistent,
     ParseError,
 )
-from .gf2m import FieldContext, cyclotomic_cosets
+from .gf2m import FieldContext, coset_sizes, cyclotomic_cosets
 
 # Entries per (exponent x support) block of mattson_solomon: 2 MiB as int64.
 # Blocks of tens of MiB left peak memory depending on how the allocator
@@ -83,7 +89,7 @@ class TraceForm:
     def is_binary(self) -> bool:
         if self.top_coeff:
             return False
-        sizes = {c.leader: c.size for c in cyclotomic_cosets(self.m)}
+        sizes = coset_sizes(self.m)
         return all(coeff == 1 and sizes[leader] == self.m for leader, coeff in self.terms.items())
 
     def degree(self) -> int:
@@ -107,18 +113,25 @@ class TraceForm:
         if ctx.m != self.m:
             raise DimensionMismatch(f"ctx.m={ctx.m} does not match form dimension {self.m}")
         n = ctx.order - 1
-        sizes = {c.leader: c.size for c in cyclotomic_cosets(self.m)}
+        sizes = coset_sizes(self.m)
+        if self.terms:
+            # c lies in GF(2^s) iff c = 0 or c^(2^s) = c, i.e. log c * 2^s = log c mod n
+            leaders = list(self.terms)
+            coeffs = np.fromiter(self.terms.values(), dtype=np.int64, count=len(leaders))
+            logs = ctx.log_table[coeffs].astype(np.int64)
+            powers = np.left_shift(1, [sizes[leader] for leader in leaders], dtype=np.int64)
+            outside = np.flatnonzero((coeffs != 0) & (logs * powers % n != logs))
+            if outside.size:
+                leader = leaders[outside[0]]
+                raise NotBooleanConsistent(f"coefficient {self.terms[leader]} of x^{leader} "
+                                           f"is outside GF(2^{sizes[leader]})")
         exps = np.arange(n, dtype=np.int64)
         field_sum = np.zeros(n, dtype=np.int32)
         bits = np.zeros(n, dtype=np.int32)
         for leader, coeff in self.terms.items():
-            size = sizes[leader]
-            if ctx.pow(coeff, 1 << size) != coeff:
-                raise NotBooleanConsistent(
-                    f"coefficient {coeff} of x^{leader} is outside GF(2^{size})"
-                )
             if not coeff:
                 continue
+            size = sizes[leader]
             logs = (int(ctx.log_table[coeff]) + leader * exps) % n
             if (self.m // size) % 2:
                 field_sum ^= ctx.antilog_table[logs]
@@ -186,6 +199,41 @@ def to_trace_form(f: BooleanFunction, ctx: FieldContext) -> TraceForm:
     return form
 
 
+def trace_forms(fns, ctx: FieldContext) -> list[TraceForm]:
+    """``to_trace_form`` of each table, interpolating once per class modulo
+    {0, 1, tr, tr + 1}.
+
+    A table T is brought to R = T + a*tr + b with b = T(0) and a chosen so that
+    R vanishes at p, the first point with tr(p) = 1 (p = 1 for odd m), so every
+    member of the class meets the same R.  tr(x) is the sum of the conjugates
+    of x, so it interpolates with coefficient 1 on leader 1 and 0 elsewhere:
+    T's form is R's with the constant XOR b and the coefficient of x XOR a.
+    The top coefficient stays R's, since |tr| = 2^(m-1) is even.
+    """
+    trace = ctx.trace_table
+    p = int(np.argmax(trace))
+    classes = {}
+    out = []
+    for f in fns:
+        if f.m != ctx.m:
+            raise DimensionMismatch(f"f.m={f.m} does not match ctx.m={ctx.m}")
+        b = f[0]
+        a = f[p] ^ b
+        rep = f.table ^ (a * trace) ^ b
+        key = rep.tobytes()
+        if key not in classes:
+            classes[key] = to_trace_form(BooleanFunction(ctx.m, rep), ctx)
+        form = classes[key]
+        if a or b:
+            terms = dict(form.terms)
+            x_coeff = terms.pop(1, 0) ^ a
+            if x_coeff:
+                terms[1] = x_coeff
+            form = TraceForm(ctx.m, form.constant ^ b, terms, form.top_coeff)
+        out.append(form)
+    return out
+
+
 def format_trace_form(tf: TraceForm, ctx: FieldContext | None = None) -> str:
     """Canonical text: constant first, then one tr(...) block for the binary
     full-length terms in ascending leader order, then any remaining terms.
@@ -195,7 +243,7 @@ def format_trace_form(tf: TraceForm, ctx: FieldContext | None = None) -> str:
     marker since only the s-fold conjugate sum appears.  A nonzero top
     coefficient renders as the bare monomial x^(2^m - 1).
     """
-    sizes = {c.leader: c.size for c in cyclotomic_cosets(tf.m)}
+    sizes = coset_sizes(tf.m)
     parts = []
     if tf.constant:
         parts.append("1")

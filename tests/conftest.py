@@ -33,3 +33,19 @@ def ctx7_alt():
 @pytest.fixture(scope="session")
 def ctx11():
     return FieldContext(11)
+
+
+@pytest.fixture()
+def trace_form_calls(monkeypatch):
+    """Records the table of every call of tracerep.to_trace_form."""
+    from bentfn import tracerep
+
+    calls = []
+    interpolate = tracerep.to_trace_form
+
+    def recorded(f, ctx):
+        calls.append(f)
+        return interpolate(f, ctx)
+
+    monkeypatch.setattr(tracerep, "to_trace_form", recorded)
+    return calls

@@ -145,6 +145,12 @@ class TestAnalyze:
         assert_failure(result, 2, "error")
         assert f"dimension {m}" in result.stderr
 
+    @pytest.mark.parametrize("suffix", ["+tr(x)", "+tr(x)+1"])
+    def test_trace_condition_pair_interpolates_once(self, runner, trace_form_calls, suffix):
+        result = invoke(runner, ["analyze", "--dim", "8", "--expr-pair", "tr(x^13)", suffix])
+        assert result.exit_code == 0
+        assert len(trace_form_calls) == 1
+
     def test_checks_flag(self, runner):
         result = invoke(
             runner,
@@ -262,6 +268,30 @@ class TestSixpack:
             pair = split(BooleanFunction.load(entry["file"]), ctx7)
             assert entry["f0_trace_form"] == to_trace_form(pair.f0, ctx7).as_dict(ctx7), label
             assert entry["f1_trace_form"] == to_trace_form(pair.f1, ctx7).as_dict(ctx7), label
+
+    def test_one_interpolation_per_class(self, runner, tmp_path, ctx7, trace_form_calls):
+        # classes modulo adding tr and 1, among the seed and the 12 components
+        result = invoke(
+            runner,
+            ["sixpack", "--dim", "7", "--expr", "tr(x^3+x^9)", "--out", str(tmp_path), "--json"],
+        )
+        assert result.exit_code == 0
+        tables = [parse("tr(x^3+x^9)", ctx7)]
+        for entry in json.loads(result.output)["functions"].values():
+            pair = split(BooleanFunction.load(entry["file"]), ctx7)
+            tables += [pair.f0, pair.f1]
+        tr = ctx7.trace_table
+        classes = {min((f.table ^ s).tobytes() for s in (0, 1, tr, tr ^ 1)) for f in tables}
+        assert len(trace_form_calls) == len(classes) <= 2
+
+    def test_write_failure_leaves_no_file(self, runner, tmp_path):
+        (tmp_path / "sixpack_dual.bf").mkdir()
+        result = invoke(
+            runner, ["sixpack", "--dim", "7", "--expr", "tr(x^3)", "--out", str(tmp_path)]
+        )
+        assert_failure(result, 2, "error")
+        assert "Is a directory" in result.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["sixpack_dual.bf"]
 
     def test_all_six_identical_summary(self, runner, tmp_path):
         result = invoke(

@@ -9,6 +9,7 @@ from bentfn.gf2m import (
     FieldContext,
     coset_leader,
     coset_size,
+    coset_sizes,
     cyclotomic_cosets,
 )
 
@@ -240,6 +241,14 @@ class TestCosets:
         assert coset_leader(11, 241) == 143
         assert coset_size(7, 13) == 7
         assert coset_size(9, 73) == 3  # 73 * 8 = 584 = 73 mod 511
+
+    @pytest.mark.parametrize("m", [4, 6, 7, 9])
+    def test_size_map_matches_orbits(self, m):
+        sizes = coset_sizes(m)
+        assert sizes is coset_sizes(m)
+        assert sizes == {c.leader: coset_size(m, c.leader) for c in cyclotomic_cosets(m)}
+        with pytest.raises(TypeError):
+            sizes[1] = 0
 
     @given(st.integers(min_value=0, max_value=126))
     @settings(max_examples=50, deadline=None)

@@ -1,0 +1,87 @@
+"""Byte-stability of the CLI's JSON output.
+
+Each case's stdout, with its temporary directory masked as ``<tmp>``, must
+equal the file ``tests/data/golden/<case>.json`` byte for byte.  The files
+were captured when every table was still interpolated on its own, so they pin
+the output of the class-wise interpolation to that of the direct one.  When an
+output change is intended, rewrite them with ``python tests/test_golden.py``
+(from the root of the checkout, with ``src`` and ``tests`` on the path) and
+review the diff.
+"""
+
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from bentfn.boolfn import BooleanFunction
+from bentfn.cli import main
+from bentfn.constructions import quadratic_family
+from bentfn.gf2m import FieldContext
+from bentfn.tracerep import parse
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def seed_table(m: int, expr: str, a: int, c: int) -> BooleanFunction:
+    """A near-bent seed plus the general linear term tr(alpha^a x) + c."""
+    ctx = FieldContext(m)
+    return parse(expr, ctx).add_linear_form(ctx, int(ctx.antilog_table[a]), c)
+
+
+#: the input files a case may name as {table}
+TABLES = {
+    "seed7": lambda: seed_table(7, "tr(x^3+x^9)", 5, 1),
+    "seed9": lambda: seed_table(9, "tr(x^3)", 11, 0),
+    "bent10": lambda: quadratic_family(5, [2, 3]),
+}
+
+CASES = {
+    "sixpack_m7_expr": ["sixpack", "--dim", "7", "--expr", "tr(x^3+x^9)"],
+    "sixpack_m7_expr_normalize": ["sixpack", "--dim", "7", "--expr", "tr(x^3)+1", "--normalize"],
+    "sixpack_m7_table": ["sixpack", "--table", "{seed7}"],
+    "sixpack_m7_table_normalize": ["sixpack", "--table", "{seed7}", "--normalize"],
+    "sixpack_m9_expr": ["sixpack", "--dim", "9", "--expr", "tr(x^3)"],
+    "sixpack_m9_expr_normalize": ["sixpack", "--dim", "9", "--expr", "tr(x^3+x^9)+tr(x)",
+                                  "--normalize"],
+    "sixpack_m9_table": ["sixpack", "--table", "{seed9}"],
+    "sixpack_m9_table_normalize": ["sixpack", "--table", "{seed9}", "--normalize"],
+    "analyze_dim8_pair": ["analyze", "--dim", "8", "--expr-pair", "tr(x^13)", "+tr(x)"],
+    "analyze_dim8_expr": ["analyze", "--dim", "8", "--expr", "tr(x^3+x^7)"],
+    "analyze_dim10_pair_checks": ["analyze", "--dim", "10", "--expr-pair", "tr(x^3+x^9)",
+                                  "+tr(x)+1", "--checks"],
+    "analyze_dim10_table": ["analyze", "--table", "{bent10}"],
+}
+
+
+def run_case(name: str, tmp: Path) -> str:
+    """The case's masked stdout; asserts it exits 0 with nothing on stderr."""
+    paths = {}
+    for label, make in TABLES.items():
+        paths[label] = tmp / f"{label}.bf"
+        make().save(paths[label])
+    argv = [arg.format(**paths) for arg in CASES[name]] + ["--json"]
+    if argv[0] == "sixpack":
+        out = tmp / "out"
+        out.mkdir()
+        argv += ["--out", str(out)]
+    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code == 0, result.stderr
+    assert result.stderr == ""
+    return result.stdout.replace(str(tmp), "<tmp>")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical(name, tmp_path):
+    expected = (GOLDEN / f"{name}.json").read_text()
+    assert run_case(name, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN / f"{name}.json").write_text(run_case(name, Path(tmp)))
+        print(f"wrote {name}", file=sys.stderr)

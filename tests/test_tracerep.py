@@ -3,7 +3,8 @@ import pytest
 
 from bentfn import tracerep
 from bentfn.boolfn import BooleanFunction, trace_function, trace_polynomial
-from bentfn.errors import ExponentOutOfRange, NotBooleanConsistent, ParseError
+from bentfn.constructions import _six_pack_of, kasami_welch, six_pack
+from bentfn.errors import DimensionMismatch, ExponentOutOfRange, NotBooleanConsistent, ParseError
 from bentfn.gf2m import FieldContext, cyclotomic_cosets
 from bentfn.tracerep import (
     TraceForm,
@@ -11,7 +12,9 @@ from bentfn.tracerep import (
     mattson_solomon,
     parse,
     to_trace_form,
+    trace_forms,
 )
+from bentfn.tvr import split
 
 from helpers import conjugate_loop_evaluate, random_function
 
@@ -197,9 +200,23 @@ class TestEvaluate:
         # m = 6: the coset of 9 has size 3 (m/size even), that of 21 size 2
         # (m/size odd); alpha lies in neither GF(8) nor GF(4)
         ctx = FieldContext(6)
+        size = {9: 3, 21: 2}[leader]
         form = TraceForm(6, 0, {leader: int(ctx.antilog_table[1])})
-        with pytest.raises(NotBooleanConsistent):
+        with pytest.raises(NotBooleanConsistent,
+                           match=rf"^coefficient 2 of x\^{leader} is outside GF\(2\^{size}\)$"):
             form.evaluate(ctx)
+
+    def test_first_coefficient_outside_its_subfield_is_named(self):
+        # m = 6: GF(8) holds alpha^9 but not GF(4)'s alpha^21, and GF(4) holds
+        # alpha^21 but not alpha^9; the cosets of 9 and 27 have size 3, that of 21 size 2
+        ctx = FieldContext(6)
+        a9, a21 = int(ctx.antilog_table[9]), int(ctx.antilog_table[21])
+        form = TraceForm(6, 0, {1: 1, 9: a9, 27: a21, 21: a9})
+        with pytest.raises(NotBooleanConsistent,
+                           match=rf"^coefficient {a21} of x\^27 is outside GF\(2\^3\)$"):
+            form.evaluate(ctx)
+        inside = TraceForm(6, 0, {1: 1, 9: a9, 27: a9, 21: a21})
+        assert inside.evaluate(ctx) == conjugate_loop_evaluate(inside, ctx)
 
     def test_flipped_leader_coefficient_breaks_round_trip(self, ctx7, monkeypatch):
         f = trace_polynomial(ctx7, [3, 9])
@@ -262,3 +279,76 @@ class TestFormat:
         tf = to_trace_form(f, ctx5)
         assert tf.top_coeff == 1
         assert parse(format_trace_form(tf), ctx5) == f
+
+
+def xi_of(fn: BooleanFunction, ctx: FieldContext):
+    """The xi with fn = join(f0, f0 + tr + xi), or None."""
+    pair = split(fn, ctx)
+    gap = pair.f0.table ^ pair.f1.table ^ ctx.trace_table
+    return int(gap[0]) if not np.any(gap ^ gap[0]) else None
+
+
+class TestTraceForms:
+    """``trace_forms`` against an independent ``to_trace_form`` of each table."""
+
+    @staticmethod
+    def assert_matches_independent_forms(tables, ctx):
+        expected = [to_trace_form(f, ctx) for f in tables]
+        assert trace_forms(tables, ctx) == expected
+
+    @staticmethod
+    def six_pack_tables(seed, pack, ctx):
+        """The 13 tables ``sixpack`` prints: the seed, then both components of each member."""
+        tables = [seed]
+        for fn in pack.functions():
+            pair = split(fn, ctx)
+            tables += [pair.f0, pair.f1]
+        return tables
+
+    @pytest.mark.parametrize("m, exponents", [(5, [3]), (7, [3, 9]), (9, [3, 9]), (11, [3])])
+    @pytest.mark.parametrize("linear", [(None, 0), (5, 1), (3, 0)])
+    def test_quadratic_six_packs(self, m, exponents, linear):
+        # a --table-style seed adds the general linear term tr(alpha^k x) + c
+        ctx = FieldContext(m)
+        seed = trace_polynomial(ctx, exponents)
+        k, c = linear
+        if k is not None:
+            seed = seed.add_linear_form(ctx, int(ctx.antilog_table[k]), c)
+        pack = six_pack(seed, ctx)
+        assert {0, 1} <= {xi_of(fn, ctx) for fn in pack.functions()}
+        self.assert_matches_independent_forms(self.six_pack_tables(seed, pack, ctx), ctx)
+
+    @pytest.mark.parametrize("t, s", [(3, 2), (4, 2), (6, 4)])
+    def test_kasami_welch_six_packs(self, t, s):
+        # m = 5, 7, 11; no Kasami-Welch exponent is admissible at m = 9
+        ctx = FieldContext(2 * t - 1)
+        F = kasami_welch(t, s, ctx)
+        pack = _six_pack_of(F, ctx)
+        assert {0, 1, None} <= {xi_of(fn, ctx) for fn in pack.functions()}
+        tables = self.six_pack_tables(split(F, ctx).f0, pack, ctx)
+        self.assert_matches_independent_forms(tables, ctx)
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 8])
+    def test_random_tables_under_all_four_translates(self, m, trace_form_calls):
+        # at even m, tr(1) = 0, so the class is pinned at another point
+        ctx = FieldContext(m)
+        rng = np.random.default_rng(67 + m)
+        tr = BooleanFunction(m, ctx.trace_table)
+        for _ in range(6):
+            f = random_function(rng, m)
+            translates = [f, f + 1, f + tr, f + tr + 1]
+            self.assert_matches_independent_forms(translates, ctx)
+        # the independent forms call the unrecorded binding: one call per class
+        assert len(trace_form_calls) == 6
+
+    def test_one_interpolation_per_class(self, ctx7, trace_form_calls):
+        tr = trace_function(ctx7)
+        f, g = trace_polynomial(ctx7, [3]), trace_polynomial(ctx7, [5, 9])
+        forms = trace_forms([f, g + 1, f + tr, g, f + tr + 1], ctx7)
+        assert len(trace_form_calls) == 2
+        assert [str(form) for form in forms] == [
+            "tr(x^3)", "1+tr(x^5+x^9)", "tr(x+x^3)", "tr(x^5+x^9)", "1+tr(x+x^3)"]
+
+    def test_dimension_mismatch(self, ctx5, ctx7):
+        with pytest.raises(DimensionMismatch):
+            trace_forms([trace_function(ctx5)], ctx7)
