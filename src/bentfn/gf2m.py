@@ -3,9 +3,9 @@
 Elements are integers whose bit i is the coefficient of alpha^i in the
 polynomial basis, alpha being a root of the chosen primitive polynomial.
 A :class:`FieldContext` is immutable after construction and safe to share
-across threads; construction itself is single-threaded.  Its two lazily built
-tables (``log_table`` and ``dual_perm``) may be built twice under concurrent
-first use, with equal results.
+across threads; construction itself is single-threaded.  What it builds lazily
+(``log_table``, ``dual_perm`` and ``fft_levels``) may be built twice under
+concurrent first use, with equal results.
 """
 
 from __future__ import annotations
@@ -92,9 +92,45 @@ def cyclotomic_cosets(m: int) -> tuple[CyclotomicCoset, ...]:
 
 
 @lru_cache(maxsize=None)
+def leaders_and_sizes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coset leaders mod 2^m - 1 in ascending order, and the size of each coset.
+
+    Doubling mod 2^m - 1 rotates the m-bit form of an exponent, so e leads its
+    coset iff e is at most each of its m - 1 other rotations, and the size is
+    the first k >= 1 whose rotation returns e.  A nonzero even e exceeds its
+    rotation by one bit to the right, so only 0 and the odd exponents are
+    tested.  m vectorised rotations per block of exponents; no coset's members
+    are listed.  Both arrays are int32 and read-only.
+    """
+    if m < MIN_DIMENSION:
+        raise DimensionOutOfRange(f"m must be at least {MIN_DIMENSION}, got {m}")
+    n = (1 << m) - 1
+    found = [np.zeros(1, dtype=np.int32)]
+    for start in range(1, n, 2 * _BLOCK):
+        exps = np.arange(start, min(start + 2 * _BLOCK, n), 2, dtype=np.int32)
+        lead = np.ones(exps.size, dtype=bool)
+        for k in range(1, m):
+            lead &= exps <= _rotate(exps, k, m)
+        found.append(exps[lead])
+    leaders = np.concatenate(found)
+    sizes = np.full(leaders.size, m, dtype=np.int32)
+    for k in range(m - 1, 0, -1):  # the smallest k is written last
+        sizes[_rotate(leaders, k, m) == leaders] = k
+    leaders.setflags(write=False)
+    sizes.setflags(write=False)
+    return leaders, sizes
+
+
+def _rotate(exps: np.ndarray, k: int, m: int) -> np.ndarray:
+    """exps * 2^k mod 2^m - 1, for exponents below 2^m - 1: an m-bit rotation."""
+    low = (1 << (m - k)) - 1
+    return ((exps & low) << k) | (exps >> (m - k))
+
+
+@lru_cache(maxsize=None)
 def coset_sizes(m: int) -> MappingProxyType:
     """Read-only map coset leader -> coset size mod 2^m - 1, built once per m."""
-    return MappingProxyType({coset.leader: coset.size for coset in cyclotomic_cosets(m)})
+    return MappingProxyType(dict(zip(*(array.tolist() for array in leaders_and_sizes(m)))))
 
 
 def coset_leader(m: int, e: int) -> int:
@@ -139,7 +175,8 @@ class FieldContext:
     traces of alpha^0..alpha^(2m-2) are Frobenius orbit sums, which give the
     trace table and the Gram matrix.  The cost is O(2^m) in a few dozen NumPy
     calls; the tables hold 4 bytes per element (antilog) and 1 byte (trace),
-    and ``log_table`` adds 4 bytes per element when first used.
+    and ``log_table`` and ``fft_levels`` add 4 bytes per element each when
+    first used.
     """
 
     __slots__ = (
@@ -152,6 +189,7 @@ class FieldContext:
         "gram_matrix",
         "_dual_basis",
         "_dual_perm",
+        "_fft_levels",
     )
 
     def __init__(self, m: int, primitive_poly: int | None = None):
@@ -177,6 +215,7 @@ class FieldContext:
         logger.debug("built GF(2^%d) with 0x%x in %.4f s", m, primitive_poly,
                      time.perf_counter() - start)
         self._dual_perm = None
+        self._fft_levels = None
 
     def _build_tables(self):
         m, order, poly = self.m, self.order, self.primitive_poly
@@ -289,15 +328,48 @@ class FieldContext:
             self._dual_perm = perm
         return self._dual_perm
 
+    def fft_levels(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """Per-level constants of the additive FFT over the whole field, built on
+        first use (see tracerep).
+
+        Level 0 has the polynomial basis b = (1, alpha, ..., alpha^(m-1)).  With
+        beta the last element of a level's basis and gamma_i = b_i / beta for the
+        others, the next level has the basis gamma_i^2 + gamma_i, one element
+        fewer.  Level d is kept as (log beta, logs of G[1:]), G[i] being the sum
+        of the gamma_j over the bits j of i; G[0] = 0 has no log.
+        """
+        if self._fft_levels is None:
+            n = self.order - 1
+            log, alog = self.log_table, self.antilog_table
+            basis = [1 << i for i in range(self.m)]
+            levels = []
+            while basis:
+                log_beta = int(log[basis[-1]])
+                gammas = [int(alog[(int(log[b]) - log_beta) % n]) for b in basis[:-1]]
+                span = np.zeros(1 << len(gammas), dtype=np.int32)
+                for j, gamma in enumerate(gammas):
+                    span[1 << j : 2 << j] = span[: 1 << j] ^ gamma
+                span_logs = log[span[1:]]
+                span_logs.setflags(write=False)
+                levels.append((log_beta, span_logs))
+                basis = [self.mul(gamma, gamma) ^ gamma for gamma in gammas]
+            self._fft_levels = tuple(levels)
+        return self._fft_levels
+
     def power_table(self, e: int) -> np.ndarray:
         """x^e for every element x, with 0^0 = 1."""
         if e < 0:
             raise ValueError(f"exponent must be nonnegative, got {e}")
         n = self.order - 1
+        alog = self.antilog_table
         out = np.zeros(self.order, dtype=np.int32)
         out[0] = 1 if e == 0 else 0
-        idx = (np.arange(n, dtype=np.int64) * (e % n)) % n
-        out[self.antilog_table] = self.antilog_table[idx]
+        # (alpha^i)^e = alpha^(i*e mod n), in blocks so the int64 products stay small
+        for start in range(0, n, _BLOCK):
+            idx = np.arange(start, min(start + _BLOCK, n), dtype=np.int64)
+            idx *= e % n
+            idx %= n
+            out[alog[start : start + _BLOCK]] = alog[idx]
         return out
 
     def linear_form_table(self, a: int) -> np.ndarray:

@@ -223,3 +223,14 @@ def conjugate_loop_evaluate(form, ctx) -> BooleanFunction:
     table[0] = form.constant
     table[ctx.antilog_table] = acc
     return BooleanFunction(form.m, table)
+
+
+def arange_power_table(ctx, e: int) -> np.ndarray:
+    """x^e for every element, from one int64 arange of all 2^m - 1 exponents:
+    (alpha^i)^e = alpha^(i*e mod n), with 0^0 = 1."""
+    n = ctx.order - 1
+    out = np.zeros(ctx.order, dtype=np.int32)
+    out[0] = 1 if e == 0 else 0
+    idx = (np.arange(n, dtype=np.int64) * (e % n)) % n
+    out[ctx.antilog_table] = ctx.antilog_table[idx]
+    return out

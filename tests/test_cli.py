@@ -3,12 +3,15 @@ import logging
 import re
 import time
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from bentfn.boolfn import BooleanFunction
 from bentfn.cli import main
+from bentfn.constructions import normalize_near_bent, six_pack
 from bentfn.errors import BentVerificationFailed
+from bentfn.gf2m import FieldContext
 from bentfn.tracerep import parse, to_trace_form
 from bentfn.tvr import split
 
@@ -42,8 +45,38 @@ class TestVerbose:
         assert quiet.exit_code == loud.exit_code == 0
         assert loud.stdout == quiet.stdout
         assert quiet.stderr == ""
-        assert re.fullmatch(r"bentfn\.gf2m: built GF\(2\^7\) with 0x83 in \d+\.\d{4} s\n",
-                            loud.stderr)
+        # both components are one class modulo {0, 1, tr, tr + 1}: one interpolation
+        assert re.fullmatch(r"bentfn\.gf2m: built GF\(2\^7\) with 0x83 in \d+\.\d{4} s\n"
+                            r"bentfn\.tracerep: interpolated over GF\(2\^7\) by leader "
+                            r"summation in \d+\.\d{4} s\n", loud.stderr)
+
+    @pytest.mark.parametrize("m, algorithm", [(7, "leader summation"), (11, "additive FFT"),
+                                              (13, "additive FFT")])
+    def test_logs_one_interpolation_per_class(self, runner, tmp_path, m, algorithm):
+        expr = "tr(x^3+x^5)+1"
+        args = ["sixpack", "--dim", str(m), "--expr", expr, "--normalize", "--out", str(tmp_path)]
+        quiet = invoke(runner, args)
+        loud = invoke(runner, ["-v", *args])
+        assert quiet.exit_code == loud.exit_code == 0
+        assert loud.stdout == quiet.stdout
+        assert quiet.stderr == ""
+        # the 13 printed tables: the normalized seed, then both components of each function
+        ctx = FieldContext(m)
+        seed = normalize_near_bent(parse(expr, ctx), ctx)
+        pairs = [split(fn, ctx) for fn in six_pack(seed, ctx).functions()]
+        tables = [seed.table] + [half.table for pair in pairs for half in (pair.f0, pair.f1)]
+        tr = ctx.trace_table
+        translates = [0, 1, tr, tr ^ 1]
+        classes = []
+        for table in tables:
+            if not any(np.array_equal(table ^ shift, rep) for rep in classes for shift in translates):
+                classes.append(table)
+        lines = loud.stderr.splitlines()
+        interpolations = [line for line in lines if line.startswith("bentfn.tracerep: ")]
+        assert 1 < len(classes) == len(interpolations)
+        for line in interpolations:
+            assert re.fullmatch(rf"bentfn\.tracerep: interpolated over GF\(2\^{m}\) by "
+                                rf"{algorithm} in \d+\.\d{{4}} s", line)
 
     def test_later_call_without_flag_is_quiet(self, runner):
         invoke(runner, ["--verbose", *self.ARGS])

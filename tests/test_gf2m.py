@@ -11,9 +11,11 @@ from bentfn.gf2m import (
     coset_size,
     coset_sizes,
     cyclotomic_cosets,
+    leaders_and_sizes,
 )
 
 from helpers import (
+    arange_power_table,
     gf_mul,
     gf_pow,
     gf_trace,
@@ -181,6 +183,19 @@ class TestArithmetic:
             assert table[x] == ctx7.pow(x, 13)
         assert ctx7.power_table(0)[0] == 1
 
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_power_table_matches_one_arange(self, m):
+        ctx = FieldContext(m)
+        n = ctx.order - 1
+        rng = np.random.default_rng(m)
+        for e in [0, 1, 2, 3, n - 1, n, n + 1, 5 * n + 7, *rng.integers(0, 1 << 40, 4).tolist()]:
+            assert np.array_equal(ctx.power_table(e), arange_power_table(ctx, e)), e
+
+    def test_power_table_at_m23_on_sampled_exponents(self):
+        ctx = FieldContext(23)
+        for e in (0, 5 * (ctx.order - 1) + 241):
+            assert np.array_equal(ctx.power_table(e), arange_power_table(ctx, e)), e
+
 
 class TestTrace:
     def test_trace_of_zero_and_one(self, ctx7):
@@ -249,6 +264,29 @@ class TestCosets:
         assert sizes == {c.leader: coset_size(m, c.leader) for c in cyclotomic_cosets(m)}
         with pytest.raises(TypeError):
             sizes[1] = 0
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12, 13, 15])
+    def test_rotations_match_the_listed_cosets(self, m):
+        leaders, sizes = leaders_and_sizes(m)
+        cosets = cyclotomic_cosets(m)
+        assert leaders.tolist() == [c.leader for c in cosets]
+        assert sizes.tolist() == [c.size for c in cosets]
+        assert leaders_and_sizes(m) is leaders_and_sizes(m)
+        with pytest.raises(ValueError):
+            leaders[0] = 1
+
+    def test_rotations_at_the_largest_dimension(self):
+        # 23 is prime, so every coset but {0} has 23 members
+        leaders, sizes = leaders_and_sizes(23)
+        assert leaders.size == 1 + ((1 << 23) - 2) // 23
+        assert sizes[0] == 1 and np.all(sizes[1:] == 23)
+        assert np.all(np.diff(leaders) > 0)
+        rng = np.random.default_rng(23)
+        for e in rng.choice(leaders[1:], 20).tolist() + [int(leaders[-1])]:
+            assert coset_leader(23, e) == e
+        leader_set = set(leaders.tolist())
+        for e in rng.integers(1, (1 << 23) - 1, 20).tolist():
+            assert (e in leader_set) == (coset_leader(23, e) == e)
 
     @given(st.integers(min_value=0, max_value=126))
     @settings(max_examples=50, deadline=None)

@@ -36,6 +36,8 @@ TABLES = {
     "seed7": lambda: seed_table(7, "tr(x^3+x^9)", 5, 1),
     "seed9": lambda: seed_table(9, "tr(x^3)", 11, 0),
     "bent10": lambda: quadratic_family(5, [2, 3]),
+    "seed11": lambda: seed_table(11, "tr(x^3)", 7, 1),
+    "seed13": lambda: seed_table(13, "tr(x^5)", 100, 0),
 }
 
 CASES = {
@@ -53,6 +55,16 @@ CASES = {
     "analyze_dim10_pair_checks": ["analyze", "--dim", "10", "--expr-pair", "tr(x^3+x^9)",
                                   "+tr(x)+1", "--checks"],
     "analyze_dim10_table": ["analyze", "--table", "{bent10}"],
+    # m = 11 and 13 are interpolated by the additive FFT
+    "sixpack_m11_table": ["sixpack", "--table", "{seed11}"],
+    "sixpack_m11_expr_normalize": ["sixpack", "--dim", "11", "--expr", "tr(x^3+x^9+x^33)+1",
+                                   "--normalize"],
+    "sixpack_m13_table": ["sixpack", "--table", "{seed13}"],
+    "sixpack_m13_expr_normalize": ["sixpack", "--dim", "13", "--expr", "tr(x^5+x^17)+tr(x)",
+                                   "--normalize"],
+    "analyze_dim12_pair_checks": ["analyze", "--dim", "12", "--expr-pair", "tr(x^3+x^9)",
+                                  "+tr(x)+1", "--checks"],
+    "analyze_dim11_top": ["analyze", "--dim", "11", "--expr", "x^2047"],
 }
 
 

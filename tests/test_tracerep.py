@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -123,6 +126,95 @@ class TestMattsonSolomon:
         coeffs = mattson_solomon(random_function(rng, 7), ctx7)
         for j in range(127):
             assert coeffs[(2 * j) % 127] == ctx7.mul(int(coeffs[j]), int(coeffs[j]))
+
+
+def interpolation_tables(ctx) -> dict[str, BooleanFunction]:
+    """Random, quadratic and Kasami-Welch tables, and the odd-weight
+    x^(2^m - 1), which only the top coefficient expresses."""
+    m, n = ctx.m, ctx.order - 1
+    return {
+        "random": random_function(np.random.default_rng(71 + m), m),
+        "quadratic": trace_polynomial(ctx, [3, 9]),
+        "kasami-welch": trace_polynomial(ctx, [KASAMI_WELCH_EXPONENT.get(m, 13)]),
+        "x^n": parse(f"x^{n}", ctx),
+    }
+
+
+def flip_at_zero(f: BooleanFunction) -> BooleanFunction:
+    table = f.table.copy()
+    table[0] ^= 1
+    return BooleanFunction(f.m, table)
+
+
+class TestAdditiveInterpolation:
+    """The inverse additive FFT against full leader summation (mattson_solomon),
+    and to_trace_form's checks against a transform that is wrong."""
+
+    @pytest.mark.parametrize("m", range(2, 14))
+    def test_every_coefficient_matches_summation(self, m):
+        # a_j = c_j for 0 < j < n; a_0 = f(0) and a_0 + a_n = c_0, since x^n = 1
+        # off 0.  Summation reads only the nonzero points, so f and f with
+        # f(0) flipped share c.
+        ctx = FieldContext(m)
+        n = ctx.order - 1
+        for name, f in interpolation_tables(ctx).items():
+            coeffs = mattson_solomon(f, ctx)
+            for g in (f, flip_at_zero(f)):
+                full = tracerep._additive_interpolation(g, ctx)
+                assert full.shape == (n + 1,), name
+                assert np.array_equal(full[1:n], coeffs[1:]), name
+                assert full[0] == g[0], name
+                assert full[0] ^ full[n] == coeffs[0], name
+
+    @pytest.mark.parametrize("m", [11, 13])
+    @pytest.mark.parametrize("index, flip, message", [
+        (3, 2, "trace form does not evaluate back to the table"),
+        (-1, 1, "top coefficient disagrees with the weight parity"),
+        (-1, 2, "constant interpolation coefficient is not a bit"),
+    ])
+    def test_corrupt_transform_is_caught(self, m, index, flip, message, monkeypatch):
+        ctx = FieldContext(m)
+        f = trace_polynomial(ctx, [3, 9])
+        transform = tracerep._additive_interpolation
+
+        def corrupted(f, ctx):
+            full = transform(f, ctx)
+            full[index] ^= flip
+            return full
+
+        monkeypatch.setattr(tracerep, "_additive_interpolation", corrupted)
+        with pytest.raises(NotBooleanConsistent, match=f"^{message}$"):
+            to_trace_form(f, ctx)
+
+    @pytest.mark.parametrize("m", [10, 11, 12])
+    def test_both_algorithms_give_equal_forms(self, m, monkeypatch, caplog):
+        ctx = FieldContext(m)
+        tables = list(interpolation_tables(ctx).values())
+        tables += [flip_at_zero(tables[0]), flip_at_zero(tables[-1]),
+                   tables[1].add_linear_form(ctx, int(ctx.antilog_table[5]), 1)]
+        forms = {}
+        caplog.set_level(logging.DEBUG, logger="bentfn.tracerep")
+        for threshold, algorithm in [(m, "additive FFT"), (m + 1, "leader summation")]:
+            monkeypatch.setattr(tracerep, "_FFT_MIN_DIMENSION", threshold)
+            caplog.clear()
+            forms[algorithm] = [to_trace_form(f, ctx) for f in tables]
+            assert [r.getMessage().split(" in ")[0] for r in caplog.records] == (
+                [f"interpolated over GF(2^{m}) by {algorithm}"] * len(tables))
+        assert forms["additive FFT"] == forms["leader summation"]
+        assert not forms["additive FFT"][-1].is_binary
+
+    @pytest.mark.parametrize("m, algorithm", [(10, "leader summation"), (11, "additive FFT")])
+    def test_threshold_selects_by_dimension(self, m, algorithm, caplog):
+        ctx = FieldContext(m)
+        caplog.set_level(logging.DEBUG, logger="bentfn.tracerep")
+        to_trace_form(trace_polynomial(ctx, [3]), ctx)
+        (record,) = caplog.records
+        assert re.fullmatch(rf"interpolated over GF\(2\^{m}\) by {algorithm} in \d+\.\d{{4}} s",
+                            record.getMessage())
+
+    def test_dimension_mismatch(self, ctx11):
+        with pytest.raises(DimensionMismatch):
+            to_trace_form(BooleanFunction.constant(13, 0), ctx11)
 
 
 class TestTraceForm:
@@ -273,6 +365,16 @@ class TestFormat:
         assert "α^" in text
         entry = tf.as_dict(ctx5)
         assert any("coeff_log" in term for term in entry["terms"])
+
+    def test_repr_and_str_without_field(self, ctx7):
+        # without a field a coefficient prints as its polynomial-basis integer
+        tf = to_trace_form(parse("tr(x^3)", ctx7).add_linear_form(ctx7, 5), ctx7)
+        assert tf.terms == {1: 5, 3: 1}
+        assert str(tf) == "tr(x^3)+tr(0x5·x)"
+        assert repr(tf) == "TraceForm('tr(x^3)+tr(0x5·x)', m=7)"
+        assert format_trace_form(tf, ctx7) == f"tr(x^3)+tr(α^{ctx7.log_table[5]}·x)"
+        subfield = TraceForm(6, 1, {9: int(FieldContext(6).antilog_table[9])}, 1)
+        assert str(subfield) == "1+tr_3(0x18·x^9)+x^63"
 
     def test_format_with_top_term_parses_back(self, ctx5):
         f = parse("x^31", ctx5) + parse("tr(x^3)", ctx5)
