@@ -317,10 +317,8 @@ def condition_flags(F: BooleanFunction, ctx: FieldContext) -> ConditionFlags:
 def _require_xi_zero(F: BooleanFunction, ctx: FieldContext) -> ConditionFlags:
     flags = condition_flags(F, ctx)
     if flags.xi != 0:
-        if flags.xi == 1:
-            raise ConditionTNotMet("component sum is tr + 1, not tr")
         raise ConditionTNotMet(
-            f"component sum is not the trace (distance {flags.dist_to_tr} from tr)"
+            "component sum is tr + 1" if flags.xi == 1 else "component sum is not the trace"
         )
     return flags
 
@@ -371,7 +369,7 @@ def check_dual_component_sum(F: BooleanFunction, ctx: FieldContext) -> CheckRepo
     the dual components sum to tr when that constant is 0, and to tr + 1 when it is 1."""
     omega = _require_xi_zero(F, ctx).d1_f0
     if omega is None:
-        raise DerivativeNotConstant("the unit derivative of f0 is not constant")
+        raise DerivativeNotConstant("unit derivative of f0 not constant")
     dual_pair = split(dual(F, ctx), ctx)
     expected = trace_function(ctx) + omega
     observed = dual_pair.f0 + dual_pair.f1
@@ -396,10 +394,7 @@ def check_pseudo_dual_conditions(F: BooleanFunction, ctx: FieldContext) -> Check
     """
     flags = condition_flags(F, ctx)
     if not flags.has_T:
-        raise ConditionTNotMet(
-            f"component sum is not tr or tr + 1 (distances {flags.dist_to_tr}, "
-            f"{flags.dist_to_tr_plus_one})"
-        )
+        raise ConditionTNotMet("component sum is not tr or tr + 1")
     pair = split(dual(F, ctx), ctx)
     tr = trace_function(ctx)
     items = []
@@ -434,10 +429,10 @@ def check_spectrum_zero_set(f: BooleanFunction, ctx: FieldContext) -> CheckRepor
     exactly at the points u with tr(u) = 1 - w."""
     if f.m != ctx.m:
         raise DimensionMismatch(f"f.m={f.m} does not match ctx.m={ctx.m}")
-    _require_near_bent(f)
     omega = f.derivative(1).is_constant()
     if omega is None:
-        raise DerivativeNotConstant("the unit derivative is not constant")
+        raise DerivativeNotConstant("unit derivative not constant")
+    _require_near_bent(f)
     values = walsh(f).trace_indexed(ctx)
     zero_set = (values == 0)
     expected = (ctx.trace_table == (1 ^ omega))
@@ -631,8 +626,34 @@ def pseudo_dual_collision_demo(ctx: FieldContext | None = None) -> CollisionRepo
 # orchestration
 
 
+# The checks after bent-classification, in report order, each reported under its name
+# here.  A lambda looks its checker up when called, so a rebinding (a tracer) is seen.
+_CHECKS = (
+    ("component-derivative-pairing", lambda F, ctx: check_component_derivative_pairing(F, ctx)),
+    ("dual-unit-derivatives", lambda F, ctx: check_dual_unit_derivatives(F, ctx)),
+    ("dual-support", lambda F, ctx: dual_support_analysis(F, ctx).report),
+    ("dual-component-sum", lambda F, ctx: check_dual_component_sum(F, ctx)),
+    ("pseudo-dual-conditions", lambda F, ctx: check_pseudo_dual_conditions(F, ctx)),
+    ("spectrum-zero-set-f0", lambda F, ctx: check_spectrum_zero_set(split(F, ctx).f0, ctx)),
+    ("spectrum-zero-set-f1", lambda F, ctx: check_spectrum_zero_set(split(F, ctx).f1, ctx)),
+)
+
+
 def verify_function(F: BooleanFunction, ctx: FieldContext) -> VerificationSuite:
-    """Run every applicable checker on an even-dimensional function."""
+    """Run every applicable checker on an even-dimensional function.
+
+    ``bent-classification`` runs first; a non-bent F skips ``all`` the rest.
+    Then the checks of ``_CHECKS`` run in order.  A checker whose precondition
+    fails raises ``ConditionTNotMet`` or ``DerivativeNotConstant``, and its
+    check is skipped with the message as the reason.  The preconditions:
+
+    - ``component-derivative-pairing``: none;
+    - ``dual-unit-derivatives``, ``dual-support``: f0 + f1 = tr;
+    - ``dual-component-sum``: f0 + f1 = tr, then a constant unit derivative of f0;
+    - ``pseudo-dual-conditions``: condition (T), f0 + f1 = tr or tr + 1;
+    - ``spectrum-zero-set-f0``, ``spectrum-zero-set-f1``: a constant unit
+      derivative of that component.
+    """
     spectrum = walsh(F)
     bent_ok = spectrum.classification is Classification.BENT
     reports = [
@@ -647,35 +668,12 @@ def verify_function(F: BooleanFunction, ctx: FieldContext) -> VerificationSuite:
 
     flags = condition_flags(F, ctx)
     skipped: list[SkippedCheck] = []
-    reports.append(check_component_derivative_pairing(F, ctx))
-
-    if flags.xi == 0:
-        reports.append(check_dual_unit_derivatives(F, ctx))
-        reports.append(dual_support_analysis(F, ctx).report)
-        if flags.d1_f0 is not None:
-            reports.append(check_dual_component_sum(F, ctx))
-        else:
-            skipped.append(SkippedCheck("dual-component-sum", "unit derivative of f0 not constant"))
-    else:
-        reason = "component sum is tr + 1" if flags.xi == 1 else "component sum is not the trace"
-        skipped.append(SkippedCheck("dual-unit-derivatives", reason))
-        skipped.append(SkippedCheck("dual-support", reason))
-        skipped.append(SkippedCheck("dual-component-sum", reason))
-
-    if flags.has_T:
-        reports.append(check_pseudo_dual_conditions(F, ctx))
-    else:
-        skipped.append(SkippedCheck("pseudo-dual-conditions", "component sum is not tr or tr + 1"))
-
-    pair = split(F, ctx)
-    for label, component in (("f0", pair.f0), ("f1", pair.f1)):
-        if component.derivative(1).is_constant() is not None:
-            report = check_spectrum_zero_set(component, ctx)
-            report.name = f"spectrum-zero-set-{label}"
-            reports.append(report)
-        else:
-            skipped.append(
-                SkippedCheck(f"spectrum-zero-set-{label}", "unit derivative not constant")
-            )
-
+    for name, check in _CHECKS:
+        try:
+            report = check(F, ctx)
+        except (ConditionTNotMet, DerivativeNotConstant) as exc:
+            skipped.append(SkippedCheck(name, str(exc)))
+            continue
+        report.name = name
+        reports.append(report)
     return VerificationSuite(flags, reports, skipped)

@@ -14,7 +14,6 @@ import logging
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -127,10 +126,15 @@ def _rotate(exps: np.ndarray, k: int, m: int) -> np.ndarray:
     return ((exps & low) << k) | (exps >> (m - k))
 
 
-@lru_cache(maxsize=None)
-def coset_sizes(m: int) -> MappingProxyType:
-    """Read-only map coset leader -> coset size mod 2^m - 1, built once per m."""
-    return MappingProxyType(dict(zip(*(array.tolist() for array in leaders_and_sizes(m)))))
+def _leader_sizes(m: int, leaders: list[int]) -> list[int]:
+    """The coset size of each of ``leaders`` mod 2^m - 1; KeyError for a non-leader."""
+    known, sizes = leaders_and_sizes(m)
+    # keys in the leaders' dtype, or each call would convert all the leaders
+    at = known.searchsorted(np.array(leaders, known.dtype))
+    for leader, found in zip(leaders, known.take(at, mode="clip").tolist()):
+        if leader != found:
+            raise KeyError(leader)
+    return sizes.take(at).tolist()
 
 
 def coset_leader(m: int, e: int) -> int:

@@ -35,14 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction
+from .boolfn import BooleanFunction, trace_polynomial
 from .errors import (
     DimensionMismatch,
     ExponentOutOfRange,
     NotBooleanConsistent,
     ParseError,
 )
-from .gf2m import FieldContext, coset_sizes, leaders_and_sizes
+from .gf2m import FieldContext, _leader_sizes, leaders_and_sizes
 
 logger = logging.getLogger(__name__)
 
@@ -107,8 +107,8 @@ class TraceForm:
     def is_binary(self) -> bool:
         if self.top_coeff:
             return False
-        sizes = coset_sizes(self.m)
-        return all(coeff == 1 and sizes[leader] == self.m for leader, coeff in self.terms.items())
+        sizes = _leader_sizes(self.m, list(self.terms))
+        return all(coeff == 1 for coeff in self.terms.values()) and all(s == self.m for s in sizes)
 
     def degree(self) -> int:
         """Max binary weight of the term exponents (m for a nonzero top term)."""
@@ -131,25 +131,23 @@ class TraceForm:
         if ctx.m != self.m:
             raise DimensionMismatch(f"ctx.m={ctx.m} does not match form dimension {self.m}")
         n = ctx.order - 1
-        sizes = coset_sizes(self.m)
-        if self.terms:
-            # c lies in GF(2^s) iff c = 0 or c^(2^s) = c, i.e. log c * 2^s = log c mod n
-            leaders = list(self.terms)
-            coeffs = np.fromiter(self.terms.values(), dtype=np.int64, count=len(leaders))
-            logs = ctx.log_table[coeffs].astype(np.int64)
-            powers = np.left_shift(1, [sizes[leader] for leader in leaders], dtype=np.int64)
-            outside = np.flatnonzero((coeffs != 0) & (logs * powers % n != logs))
-            if outside.size:
-                leader = leaders[outside[0]]
-                raise NotBooleanConsistent(f"coefficient {self.terms[leader]} of x^{leader} "
-                                           f"is outside GF(2^{sizes[leader]})")
+        leaders = list(self.terms)
+        sizes = _leader_sizes(self.m, leaders)
+        # c lies in GF(2^s) iff c = 0 or c^(2^s) = c, i.e. log c * 2^s = log c mod n
+        coeffs = np.fromiter(self.terms.values(), dtype=np.int64, count=len(leaders))
+        logs = ctx.log_table[coeffs].astype(np.int64)
+        powers = np.left_shift(1, np.array(sizes, dtype=np.int64))
+        outside = np.flatnonzero((coeffs != 0) & (logs * powers % n != logs))
+        if outside.size:
+            i = outside[0]
+            raise NotBooleanConsistent(f"coefficient {coeffs[i]} of x^{leaders[i]} "
+                                       f"is outside GF(2^{sizes[i]})")
         exps = np.arange(n, dtype=np.int64)
         field_sum = np.zeros(n, dtype=np.int32)
         bits = np.zeros(n, dtype=np.int32)
-        for leader, coeff in self.terms.items():
+        for leader, coeff, size in zip(leaders, self.terms.values(), sizes):
             if not coeff:
                 continue
-            size = sizes[leader]
             logs = (int(ctx.log_table[coeff]) + leader * exps) % n
             if (self.m // size) % 2:
                 field_sum ^= ctx.antilog_table[logs]
@@ -343,17 +341,17 @@ def format_trace_form(tf: TraceForm, ctx: FieldContext | None = None) -> str:
     s-fold conjugate sum appears.  A nonzero top
     coefficient renders as the bare monomial x^(2^m - 1).
     """
-    sizes = coset_sizes(tf.m)
+    leaders = sorted(tf.terms)
+    sizes = _leader_sizes(tf.m, leaders)
     parts = []
     if tf.constant:
         parts.append("1")
-    plain = [l for l in sorted(tf.terms) if tf.terms[l] == 1 and sizes[l] == tf.m]
+    plain = [l for l, size in zip(leaders, sizes) if tf.terms[l] == 1 and size == tf.m]
     if plain:
         inner = "+".join("x" if l == 1 else f"x^{l}" for l in plain)
         parts.append(f"tr({inner})")
-    for leader in sorted(tf.terms):
+    for leader, size in zip(leaders, sizes):
         coeff = tf.terms[leader]
-        size = sizes[leader]
         if coeff == 1 and size == tf.m:
             continue
         monomial = "x" if leader == 1 else f"x^{leader}"
@@ -434,6 +432,7 @@ def parse(expr: str, ctx: FieldContext) -> BooleanFunction:
     """
     scanner = _Scanner(expr)
     table = np.zeros(ctx.order, dtype=np.uint8)
+    exponents, constant = [], 0  # of every tr(...) block: tr is additive, so one trace
     if scanner.at_end():
         raise ParseError("empty expression", 0)
     while True:
@@ -444,16 +443,15 @@ def parse(expr: str, ctx: FieldContext) -> BooleanFunction:
             scanner.pos += 2
             scanner.skip_ws()
             scanner.expect("(")
-            value = np.zeros(ctx.order, dtype=np.int32)
             while True:
                 scanner.skip_ws()
                 term = scanner.peek()
                 if term == "x":
                     scanner.pos += 1
-                    value ^= ctx.power_table(_read_monomial_exponent(scanner))
+                    exponents.append(_read_monomial_exponent(scanner))
                 elif term == "1":
                     scanner.pos += 1
-                    value ^= 1
+                    constant ^= 1
                 else:
                     raise ParseError("expected 'x', 'x^e' or '1' inside tr(...)", scanner.pos)
                 scanner.skip_ws()
@@ -462,7 +460,6 @@ def parse(expr: str, ctx: FieldContext) -> BooleanFunction:
                     continue
                 scanner.expect(")")
                 break
-            table ^= ctx.trace_table[value]
         elif ch in ("0", "1"):
             scanner.pos += 1
             if scanner.peek().isdigit():
@@ -486,4 +483,4 @@ def parse(expr: str, ctx: FieldContext) -> BooleanFunction:
         scanner.expect("+")
         if scanner.at_end():
             raise ParseError("trailing '+'", scanner.pos)
-    return BooleanFunction(ctx.m, table)
+    return BooleanFunction(ctx.m, table ^ trace_polynomial(ctx, exponents, constant).table)

@@ -3,6 +3,7 @@ import pytest
 
 from bentfn.boolfn import BooleanFunction, trace_function, trace_polynomial
 from bentfn.constructions import (
+    _CHECKS,
     bent_from_near_bent,
     check_component_derivative_pairing,
     check_dual_component_sum,
@@ -398,6 +399,15 @@ class TestOneSpectrumPerFunction:
         assert sizes.count(256) <= 3
 
 
+    def test_refused_zero_set_check_makes_no_transform(self, ctx7, monkeypatch):
+        import bentfn.spectrum as spectrum
+
+        f = trace_polynomial(ctx7, [13])  # near-bent, D1 f not constant
+        monkeypatch.setattr(spectrum, "_fwht", lambda values: pytest.fail("an FWHT ran"))
+        with pytest.raises(DerivativeNotConstant, match="^unit derivative not constant$"):
+            check_spectrum_zero_set(f, ctx7)
+
+
 class TestVerifyFunction:
     def test_kasami_skips_constant_derivative_checks(self, ctx7):
         suite = verify_function(kasami_welch(4, 2, ctx7), ctx7)
@@ -421,3 +431,45 @@ class TestVerifyFunction:
         F = join(f0, trace_polynomial(ctx11, [241]))
         suite = verify_function(F, ctx11)
         assert suite.passed
+
+    # the public checker behind each check of verify_function, in report order
+    PUBLIC_CHECKERS = {
+        "component-derivative-pairing": check_component_derivative_pairing,
+        "dual-unit-derivatives": check_dual_unit_derivatives,
+        "dual-support": dual_support_analysis,
+        "dual-component-sum": check_dual_component_sum,
+        "pseudo-dual-conditions": check_pseudo_dual_conditions,
+        "spectrum-zero-set-f0": lambda F, ctx: check_spectrum_zero_set(split(F, ctx).f0, ctx),
+        "spectrum-zero-set-f1": lambda F, ctx: check_spectrum_zero_set(split(F, ctx).f1, ctx),
+    }
+
+    @pytest.mark.parametrize(("exponent", "xi", "skips"), [
+        (3, 0, 0), (3, 1, 3), (3, None, 4),  # D1 f0 constant
+        (13, 0, 3), (13, 1, 5), (13, None, 6),  # D1 f0 not constant
+    ])
+    def test_skipped_exactly_when_the_checker_refuses(self, ctx7, exponent, xi, skips):
+        f0 = trace_polynomial(ctx7, [exponent])
+        tr = trace_function(ctx7)
+        if xi is None:
+            # f0(x + alpha) + tr is bent with f0 too (a translate only signs the
+            # spectrum), but f0 + f1 = D_alpha f0 + tr is neither tr nor tr + 1
+            f1 = BooleanFunction(7, f0.table[np.arange(ctx7.order) ^ 2]) + tr
+        else:
+            f1 = f0 + tr + xi
+        F = join(f0, f1)
+        suite = verify_function(F, ctx7)
+        assert suite.passed
+        assert (suite.flags.xi, suite.flags.d1_f0 is None) == (xi, exponent == 13)
+
+        ran, skipped = ["bent-classification"], []
+        for name, checker in self.PUBLIC_CHECKERS.items():
+            try:
+                checker(F, ctx7)
+            except (ConditionTNotMet, DerivativeNotConstant) as exc:
+                skipped.append((name, str(exc)))
+            else:
+                ran.append(name)
+        assert [report.name for report in suite.reports] == ran
+        assert [(s.name, s.reason) for s in suite.skipped] == skipped
+        assert len(skipped) == skips
+        assert [name for name, _ in _CHECKS] == list(self.PUBLIC_CHECKERS)

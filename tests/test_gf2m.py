@@ -7,9 +7,9 @@ from bentfn.errors import DimensionOutOfRange, NonPrimitivePolynomial
 from bentfn.gf2m import (
     DEFAULT_PRIMITIVE_POLYS,
     FieldContext,
+    _leader_sizes,
     coset_leader,
     coset_size,
-    coset_sizes,
     cyclotomic_cosets,
     leaders_and_sizes,
 )
@@ -258,12 +258,17 @@ class TestCosets:
         assert coset_size(9, 73) == 3  # 73 * 8 = 584 = 73 mod 511
 
     @pytest.mark.parametrize("m", [4, 6, 7, 9])
-    def test_size_map_matches_orbits(self, m):
-        sizes = coset_sizes(m)
-        assert sizes is coset_sizes(m)
-        assert sizes == {c.leader: coset_size(m, c.leader) for c in cyclotomic_cosets(m)}
-        with pytest.raises(TypeError):
-            sizes[1] = 0
+    def test_size_lookup_matches_orbits(self, m):
+        leaders = [c.leader for c in cyclotomic_cosets(m)]
+        shuffled = leaders[::-1] + leaders[:2]  # any order, repeats allowed
+        assert _leader_sizes(m, shuffled) == [coset_size(m, e) for e in shuffled]
+        assert _leader_sizes(m, []) == []
+        non_leader = 2 * leaders[1]  # the double of a leader is its conjugate, never a leader
+        for keys in ([non_leader], [1, non_leader], [(1 << m) - 1], [-1]):
+            with pytest.raises(KeyError):
+                _leader_sizes(m, keys)
+        with pytest.raises(OverflowError):  # beyond the int32 of the leaders
+            _leader_sizes(m, [1 << 40])
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12, 13, 15])
     def test_rotations_match_the_listed_cosets(self, m):

@@ -3,7 +3,9 @@
 Each case's stdout, with its temporary directory masked as ``<tmp>``, must
 equal the file ``tests/data/golden/<case>.json`` byte for byte.  The files
 were captured when every table was still interpolated on its own, so they pin
-the output of the class-wise interpolation to that of the direct one.  When an
+the output of the class-wise interpolation to that of the direct one; the
+``verify`` cases were captured before verify_function's checks moved into one
+table with the checkers' own preconditions deciding the skips.  When an
 output change is intended, rewrite them with ``python tests/test_golden.py``
 (from the root of the checkout, with ``src`` and ``tests`` on the path) and
 review the diff.
@@ -65,6 +67,11 @@ CASES = {
     "analyze_dim12_pair_checks": ["analyze", "--dim", "12", "--expr-pair", "tr(x^3+x^9)",
                                   "+tr(x)+1", "--checks"],
     "analyze_dim11_top": ["analyze", "--dim", "11", "--expr", "x^2047"],
+    # the skip rule of verify: Kasami-Welch with f0 + f1 = tr has a non-constant
+    # unit derivative; the second pair is bent but f0 + f1 is neither tr nor tr + 1
+    "verify_dim8_kasami_welch_xi0": ["verify", "--dim", "8", "--expr-pair", "tr(x^13)", "+tr(x)"],
+    "verify_dim8_pair_without_T": ["verify", "--dim", "8", "--expr-pair", "tr(x^3+x^9)",
+                                   "tr(x^3+x^9+x^5)"],
 }
 
 

@@ -54,6 +54,13 @@ class TestParse:
         assert parse("tr(x^5+1)", ctx7) == parse("tr(x^5)+1", ctx7)
         assert parse("tr(x+1)", ctx7) == parse("tr(x)+1", ctx7)
 
+    def test_repeated_terms_cancel_inside_a_trace(self, ctx7):
+        assert parse("tr(x^3+x^5+x^3)", ctx7) == parse("tr(x^5)", ctx7)
+        assert parse("tr(x^3+1+1)", ctx7) == parse("tr(x^3)", ctx7)
+        assert parse("tr(1+x^3+1+1)", ctx7) == parse("tr(x^3)", ctx7) + 1
+        # tr(1) = m mod 2, so an inner constant vanishes on even m
+        assert parse("tr(x^3+1)", FieldContext(4)) == parse("tr(x^3)", FieldContext(4))
+
     def test_whitespace(self, ctx7):
         assert parse("  tr( x^7 + x^13 )  +  1 ", ctx7) == trace_polynomial(ctx7, [7, 13]) + 1
 
