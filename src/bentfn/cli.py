@@ -146,13 +146,17 @@ _LOG_HANDLER.setFormatter(logging.Formatter("%(name)s: %(message)s"))
               help="Log debug messages of the bentfn.* loggers to stderr.")
 def main(verbose):
     """Bent/near-bent function toolkit with exact integer arithmetic."""
-    log = logging.getLogger("bentfn")
     if verbose:
+        log = logging.getLogger("bentfn")
+        level = log.level
+
+        def restore():  # so a later call in the same process is quiet again
+            log.removeHandler(_LOG_HANDLER)
+            log.setLevel(level)
+
         log.addHandler(_LOG_HANDLER)
         log.setLevel(logging.DEBUG)
-    elif _LOG_HANDLER in log.handlers:  # an earlier in-process call had -v
-        log.removeHandler(_LOG_HANDLER)
-        log.setLevel(logging.NOTSET)
+        click.get_current_context().call_on_close(restore)
 
 
 def _resolve_input(dim, expr, expr_pair, table, poly):

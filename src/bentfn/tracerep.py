@@ -5,20 +5,42 @@
 subfield coefficient per cyclotomic coset leader, and returns a canonical
 :class:`TraceForm`.  Two interpolations give the same leader coefficients:
 
-- leader summation (``mattson_solomon``) computes only the about n/m leader
-  coefficients of the interpolation on the nonzero elements, n = 2^m - 1, at a
-  cost of O(|supp| * n/m), about 4^m/m for a balanced table;
+- leader summation (``mattson_solomon``) computes only the chosen leader
+  coefficients of the interpolation on the nonzero elements, n = 2^m - 1, at
+  a cost of O(|supp|) each;
 - the inverse additive FFT computes all 2^m coefficients of the polynomial
   equal to f on the whole field, in O(2^m * m^2) XORs, with a few dozen NumPy
   calls per level.
 
-``to_trace_form`` picks by field dimension alone: summation below m = 11, the
-FFT from m = 11 up.  On one core of a 2-vCPU Xeon VM, on a quadratic table,
-summation is 17x faster at m = 7 and 1.4x at m = 10, the FFT 2x faster at
-m = 11, 7x at m = 13 and 60x at m = 17 (4.1 s against 0.07 s).  Either way
-the form is then evaluated back, in O(n^2/m) for a dense form, and must
-reproduce the input exactly.  Forms are compared coset-wise, so listings that
-use a non-leader exponent (tr(x^a) = tr(x^2a)) normalize to the same object.
+The coefficient of x^j can be nonzero only if the binary weight of j is at
+most the algebraic degree of f (Carlet, *Boolean Functions for Cryptography
+and Coding Theory*, CUP 2021, section 2.2), and a coset's members share one
+weight.  So summation needs only the leaders of weight <= deg f: about
+m/2 + 2 for a quadratic form, against about n/m in all.  The Moebius
+transform gives deg f in O(m * 2^m).  ``to_trace_form`` picks its path by one
+cost rule, counted in summation terms (one leader times one support point):
+summing over k leaders costs k * |supp|, and the Moebius transform and the
+FFT cost m and m^2 NumPy passes over the table, each a quarter of a term per
+entry plus 512 terms for the call itself (``_pass_cost``).  It takes the
+degree only where summing over all leaders would cost more than the Moebius
+transform, then sums over the leaders left where that costs no more than the
+FFT, and runs the FFT otherwise.
+
+The constants were measured on one core of a 2-vCPU Xeon VM, where a
+summation term takes about 6 ns, an FFT entry per pass about 1.5 ns, and a
+NumPy call some microseconds, which dominate both transforms below m = 12.
+Up to m = 8 a balanced table skips the degree: at m = 8, summing a quadratic
+one over all 35 leaders takes 37 us, the Moebius transform alone 30 us.  A
+dense table is summed up to m = 10 and transformed from m = 11 up, as before;
+at m = 11 both take 1.3 ms.  A quadratic form is summed at every m: 0.4 ms at
+m = 13, the degree step included, against 3.2 ms for the FFT.  The degree-5
+Kasami-Welch form tr(x^241) is summed at m = 11 (94 leaders: 0.8 against
+1.0 ms) and transformed at m = 13 (184 leaders: 6.4 against 2.6 ms).
+
+Either way the form is then evaluated back, in O(n^2/m) for a dense form, and
+must reproduce the input exactly, so a wrong degree cannot give a wrong form.
+Forms are compared coset-wise, so listings that use a non-leader exponent
+(tr(x^a) = tr(x^2a)) normalize to the same object.
 
 ``trace_forms`` serves several tables over one field, such as the components
 of a six-pack, which the construction join(f0, f0 + tr + xi) keeps in few
@@ -46,12 +68,17 @@ from .gf2m import FieldContext, _leader_sizes, leaders_and_sizes
 
 logger = logging.getLogger(__name__)
 
-# From this field dimension up, to_trace_form interpolates by the additive FFT;
-# below it, leader summation is faster (module docstring).
-_FFT_MIN_DIMENSION = 11
 
-# Entries per (exponent x support) block of mattson_solomon: 2 MiB as int64.
-# Blocks of tens of MiB left peak memory depending on how the allocator
+def _pass_cost(m: int) -> int:
+    """Cost of one NumPy pass over a table of 2^m entries, in summation terms
+    (one (exponent, support point) pair of mattson_solomon): a quarter of a
+    term per entry and 512 for the call.  The Moebius transform makes m
+    passes, the additive FFT about m^2 (module docstring)."""
+    return (1 << m) // 4 + 512
+
+
+# Entries per (exponent x support point) block of mattson_solomon: 2 MiB as
+# int64.  Blocks of tens of MiB left peak memory depending on how the allocator
 # reused earlier freed blocks, so it varied from one run to the next.
 _DFT_CHUNK = 1 << 18
 
@@ -64,7 +91,8 @@ def mattson_solomon(f: BooleanFunction, ctx: FieldContext, exponents=None) -> np
     sum c_j x^j, the value at 0 being handled separately by the caller.
     ``exponents`` selects which c_j to compute, returned in that order; the
     default is every j in 0..2^m - 2.  Direct summation with log-table
-    indexing, O(len(exponents) * |supp|), chunked to bound memory.
+    indexing, O(len(exponents) * |supp|), in blocks of at most _DFT_CHUNK
+    support points and _DFT_CHUNK (exponent, point) pairs.
     """
     if f.m != ctx.m:
         raise DimensionMismatch(f"f.m={f.m} does not match ctx.m={ctx.m}")
@@ -73,18 +101,20 @@ def mattson_solomon(f: BooleanFunction, ctx: FieldContext, exponents=None) -> np
         js = np.arange(n, dtype=np.int64)
     else:
         js = np.asarray(exponents, dtype=np.int64)
-    support = f.support()
-    support = support[support != 0]
     coeffs = np.zeros(js.size, dtype=np.int32)
-    if support.size == 0:
-        return coeffs
-    neg_exps = (n - ctx.log_table[support].astype(np.int64)) % n
-    chunk = max(1, _DFT_CHUNK // support.size)
-    for start in range(0, js.size, chunk):
-        block = js[start : start + chunk, None] * neg_exps[None, :] % n
-        coeffs[start : start + chunk] = np.bitwise_xor.reduce(
-            ctx.antilog_table[block], axis=1
-        )
+    for first in range(1, ctx.order, _DFT_CHUNK):
+        points = np.flatnonzero(f.table[first : first + _DFT_CHUNK])
+        if not points.size:
+            continue
+        points += first
+        neg_exps = n - ctx.log_table[points].astype(np.int64)
+        rows = _DFT_CHUNK // points.size
+        for start in range(0, js.size, rows):
+            block = js[start : start + rows, None] * neg_exps
+            block %= n  # in place: a second block-sized array costs more than the remainder
+            coeffs[start : start + rows] ^= np.bitwise_xor.reduce(
+                ctx.antilog_table.take(block), axis=1
+            )
     return coeffs
 
 
@@ -105,9 +135,10 @@ class TraceForm:
 
     @property
     def is_binary(self) -> bool:
-        if self.top_coeff:
-            return False
-        sizes = _leader_sizes(self.m, list(self.terms))
+        return not self.top_coeff and self._is_binary(_leader_sizes(self.m, list(self.terms)))
+
+    def _is_binary(self, sizes: list[int]) -> bool:
+        """Whether a form without top term is binary, given the coset sizes of its terms."""
         return all(coeff == 1 for coeff in self.terms.values()) and all(s == self.m for s in sizes)
 
     def degree(self) -> int:
@@ -162,8 +193,10 @@ class TraceForm:
         return BooleanFunction(self.m, table)
 
     def as_dict(self, ctx: FieldContext | None = None) -> dict:
+        leaders = sorted(self.terms)
+        sizes = _leader_sizes(self.m, leaders)  # once, for is_binary and the text
         entries = []
-        for leader in sorted(self.terms):
+        for leader in leaders:
             coeff = self.terms[leader]
             if coeff == 1:
                 entries.append({"leader": leader, "coeff": "1"})
@@ -174,8 +207,8 @@ class TraceForm:
         out = {
             "constant": self.constant,
             "terms": entries,
-            "is_binary": self.is_binary,
-            "text": format_trace_form(self, ctx),
+            "is_binary": not self.top_coeff and self._is_binary(sizes),
+            "text": _format(self, ctx, leaders, sizes),
         }
         if self.top_coeff:
             out["top_coeff"] = self.top_coeff
@@ -254,30 +287,48 @@ def _interleave(halves: np.ndarray) -> np.ndarray:
     return out
 
 
+def _plan(f: BooleanFunction, ctx: FieldContext, weight: int) -> tuple[str, np.ndarray | None]:
+    """The interpolation of ``f`` that the cost rule picks (module docstring):
+    its name and the coset leaders to sum over, or None for the additive FFT."""
+    m = ctx.m
+    leaders, _ = leaders_and_sizes(m)
+    name = "leader summation"
+    if leaders.size * weight > m * _pass_cost(m):
+        degree = f.degree()
+        if degree < m - 1:  # every exponent below 2^m - 1 has weight at most m - 1
+            name = f"leader summation to degree {degree}"
+            leaders = leaders[np.bitwise_count(leaders) <= degree]
+    if leaders.size * weight > m * m * _pass_cost(m):
+        return "additive FFT", None
+    return name, leaders
+
+
 def to_trace_form(f: BooleanFunction, ctx: FieldContext) -> TraceForm:
     """Canonical trace form of a truth table, grouping interpolation
     coefficients by cyclotomic coset.
 
-    Below m = 11 only the coset-leader coefficients c_l are summed
-    (``mattson_solomon``); from m = 11 up, where it is faster (module
-    docstring), the additive FFT gives all coefficients a_0..a_(2^m - 1) of
-    the polynomial equal to f on GF(2^m), and c_l = a_l for every leader
-    l >= 1 and c_0 = a_0 + a_(2^m - 1), since x^(2^m - 1) = 1 off 0.  Either
-    way c_0 must be a bit, c_0 + f(0) must be the weight parity, and the form
-    is evaluated back and must reproduce ``f`` exactly.  Logs the algorithm
-    and its time at DEBUG level.
+    The coefficient c_l of a coset leader l is zero unless wt(l) <= deg f, so
+    leader summation (``mattson_solomon``) may skip the leaders of higher
+    weight once the Moebius transform has given the degree.  The additive FFT
+    gives all coefficients a_0..a_(2^m - 1) of the polynomial equal to f on
+    GF(2^m), and c_l = a_l for every leader l >= 1 and c_0 = a_0 + a_(2^m - 1),
+    since x^(2^m - 1) = 1 off 0.  ``_plan`` picks the path by the cost rule
+    (module docstring).  Either way c_0 must be a bit, c_0 + f(0) must be the
+    weight parity, and the form is evaluated back and must reproduce ``f``
+    exactly, so a wrong degree cannot give a wrong form.  Logs the algorithm
+    and its time, the degree step included, at DEBUG level.
     """
     if f.m != ctx.m:
         raise DimensionMismatch(f"f.m={f.m} does not match ctx.m={ctx.m}")
-    leaders, _ = leaders_and_sizes(ctx.m)
+    weight = f.weight()
     start = time.perf_counter()
-    if ctx.m >= _FFT_MIN_DIMENSION:
-        algorithm = "additive FFT"
+    algorithm, leaders = _plan(f, ctx, weight)
+    if leaders is None:
+        leaders, _ = leaders_and_sizes(ctx.m)
         full = _additive_interpolation(f, ctx)
         coeffs = full[leaders]
         coeffs[0] ^= full[-1]
     else:
-        algorithm = "leader summation"
         coeffs = mattson_solomon(f, ctx, leaders)
     logger.debug("interpolated over GF(2^%d) by %s in %.4f s", ctx.m, algorithm,
                  time.perf_counter() - start)
@@ -286,7 +337,7 @@ def to_trace_form(f: BooleanFunction, ctx: FieldContext) -> TraceForm:
         raise NotBooleanConsistent("constant interpolation coefficient is not a bit")
     constant = f[0]
     top = c0 ^ constant
-    if top != (f.weight() & 1):
+    if top != (weight & 1):
         raise NotBooleanConsistent("top coefficient disagrees with the weight parity")
     present = np.flatnonzero(coeffs[1:]) + 1
     terms = dict(zip(leaders[present].tolist(), coeffs[present].tolist()))
@@ -342,7 +393,11 @@ def format_trace_form(tf: TraceForm, ctx: FieldContext | None = None) -> str:
     coefficient renders as the bare monomial x^(2^m - 1).
     """
     leaders = sorted(tf.terms)
-    sizes = _leader_sizes(tf.m, leaders)
+    return _format(tf, ctx, leaders, _leader_sizes(tf.m, leaders))
+
+
+def _format(tf: TraceForm, ctx: FieldContext | None, leaders: list[int], sizes: list[int]) -> str:
+    """format_trace_form, given the form's leaders in ascending order and their coset sizes."""
     parts = []
     if tf.constant:
         parts.append("1")

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from bentfn.boolfn import BooleanFunction
 from bentfn.cli import main
-from bentfn.constructions import normalize_near_bent, six_pack
+from bentfn.constructions import _six_pack_of, kasami_welch, normalize_near_bent, six_pack
 from bentfn.errors import BentVerificationFailed
 from bentfn.gf2m import FieldContext
 from bentfn.tracerep import parse, to_trace_form
@@ -50,19 +50,29 @@ class TestVerbose:
                             r"bentfn\.tracerep: interpolated over GF\(2\^7\) by leader "
                             r"summation in \d+\.\d{4} s\n", loud.stderr)
 
-    @pytest.mark.parametrize("m, algorithm", [(7, "leader summation"), (11, "additive FFT"),
+    @pytest.mark.parametrize("m, algorithm", [(7, "leader summation"),
+                                              (11, "leader summation to degree 2"),
                                               (13, "additive FFT")])
     def test_logs_one_interpolation_per_class(self, runner, tmp_path, m, algorithm):
-        expr = "tr(x^3+x^5)+1"
-        args = ["sixpack", "--dim", str(m), "--expr", expr, "--normalize", "--out", str(tmp_path)]
+        # the six-pack of a quadratic seed is quadratic throughout; that of f0 of
+        # the dual in a Kasami-Welch six-pack has degree 5, too many leaders to sum
+        # at m = 13
+        ctx = FieldContext(m)
+        if algorithm == "additive FFT":
+            f0 = split(_six_pack_of(kasami_welch(7, 4, ctx), ctx).dual, ctx).f0
+            f0.save(tmp_path / "seed.bf")
+            source = ["--table", str(tmp_path / "seed.bf")]
+        else:
+            f0 = parse("tr(x^3+x^5)+1", ctx)
+            source = ["--dim", str(m), "--expr", "tr(x^3+x^5)+1"]
+        args = ["sixpack", *source, "--normalize", "--out", str(tmp_path)]
         quiet = invoke(runner, args)
         loud = invoke(runner, ["-v", *args])
         assert quiet.exit_code == loud.exit_code == 0
         assert loud.stdout == quiet.stdout
         assert quiet.stderr == ""
         # the 13 printed tables: the normalized seed, then both components of each function
-        ctx = FieldContext(m)
-        seed = normalize_near_bent(parse(expr, ctx), ctx)
+        seed = normalize_near_bent(f0, ctx)
         pairs = [split(fn, ctx) for fn in six_pack(seed, ctx).functions()]
         tables = [seed.table] + [half.table for pair in pairs for half in (pair.f0, pair.f1)]
         tr = ctx.trace_table
@@ -83,6 +93,21 @@ class TestVerbose:
         result = invoke(runner, self.ARGS)
         assert result.stderr == ""
         assert not logging.getLogger("bentfn").handlers
+
+    @pytest.mark.parametrize("args, code", [(ARGS, 0), (["sixpack", "--dim", "7", "--expr",
+                                                          "tr(x^3)", "--prefix", "missing/x"], 2)])
+    def test_each_call_restores_the_logger(self, runner, args, code):
+        # a -v call must not leave bentfn.* at DEBUG for the rest of the process,
+        # nor when it fails
+        log = logging.getLogger("bentfn")
+        before = log.level
+        log.setLevel(logging.WARNING)
+        try:
+            assert invoke(runner, ["-v", *args]).exit_code == code
+            assert log.level == logging.WARNING
+            assert not log.handlers
+        finally:
+            log.setLevel(before)
 
 
 class TestAnalyze:

@@ -20,9 +20,10 @@ from click.testing import CliRunner
 
 from bentfn.boolfn import BooleanFunction
 from bentfn.cli import main
-from bentfn.constructions import quadratic_family
+from bentfn.constructions import _six_pack_of, kasami_welch, quadratic_family
 from bentfn.gf2m import FieldContext
 from bentfn.tracerep import parse
+from bentfn.tvr import split
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -33,6 +34,13 @@ def seed_table(m: int, expr: str, a: int, c: int) -> BooleanFunction:
     return parse(expr, ctx).add_linear_form(ctx, int(ctx.antilog_table[a]), c)
 
 
+def kasami_welch_component(t: int, s: int) -> BooleanFunction:
+    """f0 of the pseudo0-dual in the six-pack of kasami_welch(t, s): degree s + 1
+    with dozens of trace terms, against the one term of the seed."""
+    ctx = FieldContext(2 * t - 1)
+    return split(_six_pack_of(kasami_welch(t, s, ctx), ctx).pseudo0_dual, ctx).f0
+
+
 #: the input files a case may name as {table}
 TABLES = {
     "seed7": lambda: seed_table(7, "tr(x^3+x^9)", 5, 1),
@@ -40,6 +48,7 @@ TABLES = {
     "bent10": lambda: quadratic_family(5, [2, 3]),
     "seed11": lambda: seed_table(11, "tr(x^3)", 7, 1),
     "seed13": lambda: seed_table(13, "tr(x^5)", 100, 0),
+    "kw13": lambda: kasami_welch_component(7, 4),
 }
 
 CASES = {
@@ -67,6 +76,8 @@ CASES = {
     "analyze_dim12_pair_checks": ["analyze", "--dim", "12", "--expr-pair", "tr(x^3+x^9)",
                                   "+tr(x)+1", "--checks"],
     "analyze_dim11_top": ["analyze", "--dim", "11", "--expr", "x^2047"],
+    # captured while m = 13 was interpolated by the additive FFT alone
+    "analyze_m13_kasami_welch_table": ["analyze", "--table", "{kw13}"],
     # the skip rule of verify: Kasami-Welch with f0 + f1 = tr has a non-constant
     # unit derivative; the second pair is bent but f0 + f1 is neither tr nor tr + 1
     "verify_dim8_kasami_welch_xi0": ["verify", "--dim", "8", "--expr-pair", "tr(x^13)", "+tr(x)"],

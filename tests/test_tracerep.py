@@ -153,6 +153,49 @@ def flip_at_zero(f: BooleanFunction) -> BooleanFunction:
     return BooleanFunction(f.m, table)
 
 
+def tracerep_records(caplog) -> list[logging.LogRecord]:
+    """The captured records of bentfn.tracerep alone; other bentfn loggers may
+    be at DEBUG too."""
+    return [r for r in caplog.records if r.name == "bentfn.tracerep"]
+
+
+def low_leaders(ctx, degree: int) -> np.ndarray:
+    """The coset leaders of binary weight at most ``degree``."""
+    leaders = np.array([c.leader for c in cyclotomic_cosets(ctx.m)])
+    return leaders[[l.bit_count() <= degree for l in leaders.tolist()]]
+
+
+def forced_plans(ctx) -> dict:
+    """Stand-ins for tracerep._plan that each force one path of to_trace_form."""
+    leaders = np.array([c.leader for c in cyclotomic_cosets(ctx.m)])
+
+    def degree(f, ctx, weight):
+        d = f.degree()
+        return f"leader summation to degree {d}", low_leaders(ctx, d)
+
+    return {
+        "additive FFT": lambda f, ctx, weight: ("additive FFT", None),
+        "leader summation": lambda f, ctx, weight: ("leader summation", leaders),
+        "degree": degree,
+    }
+
+
+def form_of_degree(rng, ctx, d: int) -> TraceForm:
+    """A random form over the leaders of weight <= d, with a nonzero
+    coefficient on one leader of weight d, so its table has degree d."""
+    n = ctx.order - 1
+    cosets = [c for c in cyclotomic_cosets(ctx.m)[1:] if c.leader.bit_count() <= d]
+    top = [c.leader for c in cosets if c.leader.bit_count() == d]
+    chosen = top[int(rng.integers(0, len(top)))]
+    terms = {}
+    for coset in cosets:
+        k = 2 if coset.leader == chosen else int(rng.integers(0, 1 << coset.size))
+        if k:
+            step = n // ((1 << coset.size) - 1)
+            terms[coset.leader] = int(ctx.antilog_table[(k - 1) * step])
+    return TraceForm(ctx.m, int(rng.integers(0, 2)), terms)
+
+
 class TestAdditiveInterpolation:
     """The inverse additive FFT against full leader summation (mattson_solomon),
     and to_trace_form's checks against a transform that is wrong."""
@@ -180,8 +223,10 @@ class TestAdditiveInterpolation:
         (-1, 2, "constant interpolation coefficient is not a bit"),
     ])
     def test_corrupt_transform_is_caught(self, m, index, flip, message, monkeypatch):
+        # a dense table, which the cost rule sends to the FFT; a quadratic one
+        # would be summed over its few leaders of weight <= 2
         ctx = FieldContext(m)
-        f = trace_polynomial(ctx, [3, 9])
+        f = random_function(np.random.default_rng(83 + m), m)
         transform = tracerep._additive_interpolation
 
         def corrupted(f, ctx):
@@ -195,33 +240,99 @@ class TestAdditiveInterpolation:
 
     @pytest.mark.parametrize("m", [10, 11, 12])
     def test_both_algorithms_give_equal_forms(self, m, monkeypatch, caplog):
+        # each path forced in turn: the FFT, summation over every leader, and
+        # summation over the leaders of weight <= deg f
         ctx = FieldContext(m)
         tables = list(interpolation_tables(ctx).values())
         tables += [flip_at_zero(tables[0]), flip_at_zero(tables[-1]),
                    tables[1].add_linear_form(ctx, int(ctx.antilog_table[5]), 1)]
+        plans = forced_plans(ctx)
         forms = {}
         caplog.set_level(logging.DEBUG, logger="bentfn.tracerep")
-        for threshold, algorithm in [(m, "additive FFT"), (m + 1, "leader summation")]:
-            monkeypatch.setattr(tracerep, "_FFT_MIN_DIMENSION", threshold)
+        for path, plan in plans.items():
+            monkeypatch.setattr(tracerep, "_plan", plan)
             caplog.clear()
-            forms[algorithm] = [to_trace_form(f, ctx) for f in tables]
-            assert [r.getMessage().split(" in ")[0] for r in caplog.records] == (
-                [f"interpolated over GF(2^{m}) by {algorithm}"] * len(tables))
-        assert forms["additive FFT"] == forms["leader summation"]
+            forms[path] = [to_trace_form(f, ctx) for f in tables]
+            names = [plan(f, ctx, f.weight())[0] for f in tables]
+            assert [r.getMessage().split(" in ")[0] for r in tracerep_records(caplog)] == (
+                [f"interpolated over GF(2^{m}) by {name}" for name in names])
+        assert "leader summation to degree 2" in names
+        assert forms["additive FFT"] == forms["leader summation"] == forms["degree"]
         assert not forms["additive FFT"][-1].is_binary
 
+    # a dense table has degree m - 1 or m, so every leader is summed below the
+    # FFT's cost and none is skipped
     @pytest.mark.parametrize("m, algorithm", [(10, "leader summation"), (11, "additive FFT")])
     def test_threshold_selects_by_dimension(self, m, algorithm, caplog):
         ctx = FieldContext(m)
         caplog.set_level(logging.DEBUG, logger="bentfn.tracerep")
-        to_trace_form(trace_polynomial(ctx, [3]), ctx)
-        (record,) = caplog.records
+        to_trace_form(random_function(np.random.default_rng(89 + m), m), ctx)
+        (record,) = tracerep_records(caplog)
         assert re.fullmatch(rf"interpolated over GF\(2\^{m}\) by {algorithm} in \d+\.\d{{4}} s",
                             record.getMessage())
+
+    @pytest.mark.parametrize("m, expr, algorithm", [
+        (7, "tr(x^3+x^5)", "leader summation"),  # the Moebius transform would cost more
+        (9, "tr(x^3+x^5)", "leader summation to degree 2"),
+        (11, "tr(x^3)+1", "leader summation to degree 2"),
+        (11, "tr(x^241)", "leader summation to degree 5"),  # Kasami-Welch
+        (13, "tr(x^3+x^5)", "leader summation to degree 2"),
+        (13, "tr(x^241)", "additive FFT"),  # Kasami-Welch: 184 leaders of weight <= 5
+    ])
+    def test_cost_rule_selects_by_degree(self, m, expr, algorithm, caplog):
+        ctx = FieldContext(m)
+        caplog.set_level(logging.DEBUG, logger="bentfn.tracerep")
+        to_trace_form(parse(expr, ctx), ctx)
+        (record,) = tracerep_records(caplog)
+        assert record.getMessage().split(" in ")[0] == (
+            f"interpolated over GF(2^{m}) by {algorithm}")
 
     def test_dimension_mismatch(self, ctx11):
         with pytest.raises(DimensionMismatch):
             to_trace_form(BooleanFunction.constant(13, 0), ctx11)
+
+
+class TestDegreeBound:
+    """Coefficients of leaders heavier than deg f vanish, so summing over the
+    lighter ones is exact; a degree too low must fail the round trip."""
+
+    @pytest.mark.parametrize("m", [7, 9, 11, 13])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_degree_path_matches_fft_and_full_summation(self, m, d, monkeypatch):
+        ctx = FieldContext(m)
+        n = ctx.order - 1
+        form = form_of_degree(np.random.default_rng(97 * m + d), ctx, d)
+        f = form.evaluate(ctx)
+        assert f.degree() == d
+        full = tracerep._additive_interpolation(f, ctx)
+        summed = mattson_solomon(f, ctx)
+        assert np.array_equal(full[1:n], summed[1:])
+        assert full[0] ^ full[n] == summed[0]
+        heavy = [j for j in range(1, n) if j.bit_count() > d]
+        assert not summed[heavy].any()
+        lows = low_leaders(ctx, d)
+        assert np.array_equal(mattson_solomon(f, ctx, lows), summed[lows])
+        forms = []
+        for plan in forced_plans(ctx).values():
+            monkeypatch.setattr(tracerep, "_plan", plan)
+            forms.append(to_trace_form(f, ctx))
+        assert forms == [form] * 3
+
+    @pytest.mark.parametrize("m, expr", [(9, "tr(x^3+x^5)"), (11, "tr(x^3)+tr(x)"),
+                                         (11, "tr(x^241)"), (13, "tr(x^5+x^17)+1")])
+    def test_degree_one_too_low_breaks_round_trip(self, m, expr, monkeypatch, caplog):
+        # the cost rule takes the degree path for each; with deg f - 1 it drops
+        # every leader of weight deg f
+        ctx = FieldContext(m)
+        f = parse(expr, ctx)
+        degree = BooleanFunction.degree
+        monkeypatch.setattr(BooleanFunction, "degree", lambda self: degree(self) - 1)
+        caplog.set_level(logging.DEBUG, logger="bentfn.tracerep")
+        with pytest.raises(NotBooleanConsistent,
+                           match="^trace form does not evaluate back to the table$"):
+            to_trace_form(f, ctx)
+        (record,) = tracerep_records(caplog)
+        assert f" by leader summation to degree {degree(f) - 1} in " in record.getMessage()
 
 
 class TestTraceForm:
