@@ -79,7 +79,6 @@ from .tracerep import (
 )
 from .tvr import (
     ComponentIdentityReport,
-    TvrPair,
     bent_via_components,
     component_walsh_identities,
     inner_product,

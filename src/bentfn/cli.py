@@ -43,6 +43,7 @@ from .errors import (
     InvalidExponentSet,
     NotBent,
     NotNearBent,
+    OddDimension,
 )
 from .gf2m import MAX_DIMENSION, FieldContext
 from .spectrum import walsh
@@ -209,6 +210,8 @@ def _resolve_input(dim, expr, expr_pair, table, poly):
 def analyze(dim, expr, expr_pair, table, poly, as_json, full_spectrum, checks, timestamps):
     """Classify a function and report weight, degree, spectrum, and trace forms."""
     fn, ctx, descriptor = _resolve_input(dim, expr, expr_pair, table, poly)
+    if checks and fn.m % 2:
+        raise OddDimension(f"--checks needs an even-dimensional function, got dimension {fn.m}")
     spectrum = walsh(fn)
     payload = {
         "input": descriptor,
@@ -224,10 +227,9 @@ def analyze(dim, expr, expr_pair, table, poly, as_json, full_spectrum, checks, t
     if full_spectrum:
         payload["spectrum"]["coefficients"] = [int(c) for c in spectrum.coeffs]
     if fn.m % 2 == 0:
-        pair = split(fn, ctx)
         flags = condition_flags(fn, ctx)
         payload["condition_flags"] = flags.as_dict()
-        forms = trace_forms([pair.f0, pair.f1], ctx)
+        forms = trace_forms(split(fn), ctx)
         payload["components"] = {
             "f0": forms[0].as_dict(ctx),
             "f1": forms[1].as_dict(ctx),
@@ -235,7 +237,7 @@ def analyze(dim, expr, expr_pair, table, poly, as_json, full_spectrum, checks, t
     else:
         payload["trace_form"] = to_trace_form(fn, ctx).as_dict(ctx)
     suite = None
-    if checks and fn.m % 2 == 0:
+    if checks:
         suite = verify_function(fn, ctx)
         payload["checks"] = suite.as_dict()
     if as_json:
@@ -280,7 +282,7 @@ def generate():
 def _emit_generated(F, ctx, family, params, out, as_json, timestamps, filename):
     path = Path(out) / filename
     F.save(path)
-    pair = split(F, ctx)
+    f0, _ = split(F)
     payload = {
         "family": family,
         **params,
@@ -289,7 +291,7 @@ def _emit_generated(F, ctx, family, params, out, as_json, timestamps, filename):
         "classification": walsh(F).classification.value,
         "weight": F.weight(),
         "degree": F.degree(),
-        "f0_trace_form": to_trace_form(pair.f0, ctx).as_dict(ctx),
+        "f0_trace_form": to_trace_form(f0, ctx).as_dict(ctx),
         "table_hex": F.table_hex(),
         "file": str(path),
     }
@@ -381,8 +383,7 @@ def sixpack(dim, expr, table, normalize, poly, out, prefix, as_json, timestamps)
     labeled = pack.labeled()
     components = []
     for fn in labeled.values():
-        pair = split(fn, ctx)
-        components += [pair.f0, pair.f1]
+        components += split(fn)
     seed_form, *forms = [form.as_dict(ctx) for form in trace_forms([f0, *components], ctx)]
     files = {Path(out) / f"{prefix}_{label}.bf": fn for label, fn in labeled.items()}
     _save_all(files)

@@ -286,15 +286,15 @@ def pseudo_duals(
 
 
 def _pseudo_duals_of_dual(dual_F: BooleanFunction, ctx: FieldContext):
-    pair = split(dual_F, ctx)
+    d0, d1 = split(dual_F)
     tr = trace_function(ctx)
-    return join(pair.f0, pair.f0 + tr), join(pair.f1, pair.f1 + tr)
+    return join(d0, d0 + tr), join(d1, d1 + tr)
 
 
 def condition_flags(F: BooleanFunction, ctx: FieldContext) -> ConditionFlags:
     """Detect the trace condition on the component sum and the unit-derivative constant."""
-    pair = split(F, ctx)
-    sum01 = pair.f0 + pair.f1
+    f0, f1 = split(F)
+    sum01 = f0 + f1
     tr = trace_function(ctx)
     dist0 = (sum01 + tr).weight()
     dist1 = ctx.order - dist0
@@ -304,7 +304,7 @@ def condition_flags(F: BooleanFunction, ctx: FieldContext) -> ConditionFlags:
         xi = 1
     else:
         xi = None
-    omega = pair.f0.derivative(1).is_constant()
+    omega = f0.derivative(1).is_constant()
     return ConditionFlags(
         xi=xi,
         has_C=(omega == 0),
@@ -329,19 +329,18 @@ def dual_support_analysis(F: BooleanFunction, ctx: FieldContext) -> DualSupportR
     Requires F bent with component sum exactly tr.
     """
     _require_xi_zero(F, ctx)
-    pair = split(F, ctx)
+    f0, _ = split(F)
     t = F.m // 2
-    values = walsh(pair.f0).trace_indexed(ctx)
+    values = walsh(f0).trace_indexed(ctx)
 
     s = (values == -(1 << t)).astype(np.uint8)
     s1 = s.reshape(-1, 2)[:, ::-1].ravel()  # s1[x] = s[x ^ 1], with no index array
     g = BooleanFunction(ctx.m, values == 0)
-    dual_pair = split(dual(F, ctx), ctx)
+    d0, d1 = split(dual(F, ctx))
 
     items = [
-        CheckItem("first-dual-support-is-S-union-S1",
-                  bool(np.array_equal(dual_pair.f0.table, s | s1))),
-        CheckItem("second-dual-equals-first-plus-zero-indicator", dual_pair.f1 == dual_pair.f0 + g),
+        CheckItem("first-dual-support-is-S-union-S1", bool(np.array_equal(d0.table, s | s1))),
+        CheckItem("second-dual-equals-first-plus-zero-indicator", d1 == d0 + g),
         CheckItem("S-and-S1-disjoint", not (s & s1).any()),
         CheckItem("zero-set-size", g.weight() == 1 << (ctx.m - 1)),
     ]
@@ -352,9 +351,7 @@ def check_dual_unit_derivatives(F: BooleanFunction, ctx: FieldContext) -> CheckR
     """For bent F with component sum tr: the dual's first component has zero unit
     derivative and its second has constant unit derivative 1."""
     _require_xi_zero(F, ctx)
-    dual_pair = split(dual(F, ctx), ctx)
-    d0 = dual_pair.f0.derivative(1)
-    d1 = dual_pair.f1.derivative(1)
+    d0, d1 = (component.derivative(1) for component in split(dual(F, ctx)))
     items = [
         CheckItem("dual-first-component-unit-derivative-zero", d0.is_constant() == 0,
                   witness=_first_nonzero(d0)),
@@ -370,9 +367,9 @@ def check_dual_component_sum(F: BooleanFunction, ctx: FieldContext) -> CheckRepo
     omega = _require_xi_zero(F, ctx).d1_f0
     if omega is None:
         raise DerivativeNotConstant("unit derivative of f0 not constant")
-    dual_pair = split(dual(F, ctx), ctx)
+    d0, d1 = split(dual(F, ctx))
     expected = trace_function(ctx) + omega
-    observed = dual_pair.f0 + dual_pair.f1
+    observed = d0 + d1
     diff = observed + expected
     items = [
         CheckItem(
@@ -395,10 +392,9 @@ def check_pseudo_dual_conditions(F: BooleanFunction, ctx: FieldContext) -> Check
     flags = condition_flags(F, ctx)
     if not flags.has_T:
         raise ConditionTNotMet("component sum is not tr or tr + 1")
-    pair = split(dual(F, ctx), ctx)
     tr = trace_function(ctx)
     items = []
-    for i, component in enumerate((pair.f0, pair.f1)):
+    for i, component in enumerate(split(dual(F, ctx))):
         items += _pseudo_dual_items(i, component, tr, flags.xi, ctx)
     return CheckReport("pseudo-dual-conditions", items)
 
@@ -452,15 +448,15 @@ def check_component_derivative_pairing(F: BooleanFunction, ctx: FieldContext) ->
     spectrum = walsh(F)
     if spectrum.classification is not Classification.BENT:
         raise NotBent(f"function is {spectrum.classification.value}, not bent")
-    pair = split(F, ctx)
-    w0 = pair.f0.derivative(1).is_constant()
-    w1 = pair.f1.derivative(1).is_constant()
+    f0, f1 = split(F)
+    w0 = f0.derivative(1).is_constant()
+    w1 = f1.derivative(1).is_constant()
     if w0 is None:
         paired = w1 is None
     else:
         paired = w1 == (w0 ^ 1)
     d_top = F.derivative(1 << ctx.m)
-    sum01 = pair.f0 + pair.f1
+    sum01 = f0 + f1
     items = [
         CheckItem("unit-derivative-constants-paired", paired,
                   detail=f"d1_f0={w0}, d1_f1={w1}"),
@@ -634,8 +630,8 @@ _CHECKS = (
     ("dual-support", lambda F, ctx: dual_support_analysis(F, ctx).report),
     ("dual-component-sum", lambda F, ctx: check_dual_component_sum(F, ctx)),
     ("pseudo-dual-conditions", lambda F, ctx: check_pseudo_dual_conditions(F, ctx)),
-    ("spectrum-zero-set-f0", lambda F, ctx: check_spectrum_zero_set(split(F, ctx).f0, ctx)),
-    ("spectrum-zero-set-f1", lambda F, ctx: check_spectrum_zero_set(split(F, ctx).f1, ctx)),
+    ("spectrum-zero-set-f0", lambda F, ctx: check_spectrum_zero_set(split(F)[0], ctx)),
+    ("spectrum-zero-set-f1", lambda F, ctx: check_spectrum_zero_set(split(F)[1], ctx)),
 )
 
 

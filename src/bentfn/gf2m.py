@@ -167,8 +167,7 @@ class FieldContext:
 
     ``antilog_table[i]`` is alpha^i for 0 <= i < 2^m - 1 and ``log_table[x]``
     is the discrete log of a nonzero element x (-1 for 0).  ``trace_table`` has
-    one bit per element.  ``gram_matrix[i][j] = tr(alpha^i * alpha^j)`` realizes
-    the trace bilinear form in coordinates.  Every table is read-only.
+    one bit per element.  Every table is read-only.
 
     Construction takes about m vectorised doublings, not 2^m - 1 Python steps.
     Multiplication by alpha^k is GF(2)-linear, so alpha^(k+i) = alpha^k * alpha^i
@@ -177,10 +176,10 @@ class FieldContext:
     tables squares it to alpha^(2k).  The first i >= 1 with alpha^i = 1 is the
     order of alpha, so any such i below 2^m - 1 rejects the polynomial.  The
     traces of alpha^0..alpha^(2m-2) are Frobenius orbit sums, which give the
-    trace table and the Gram matrix.  The cost is O(2^m) in a few dozen NumPy
-    calls; the tables hold 4 bytes per element (antilog) and 1 byte (trace),
-    and ``log_table`` and ``fft_levels`` add 4 bytes per element each when
-    first used.
+    trace table and the dual basis of the trace form.  The cost is O(2^m) in a
+    few dozen NumPy calls; the tables hold 4 bytes per element (antilog) and
+    1 byte (trace), and ``log_table`` and ``fft_levels`` add 4 bytes per
+    element each when first used.
     """
 
     __slots__ = (
@@ -190,7 +189,6 @@ class FieldContext:
         "_log_table",
         "antilog_table",
         "trace_table",
-        "gram_matrix",
         "_dual_basis",
         "_dual_perm",
         "_fft_levels",
@@ -265,11 +263,8 @@ class FieldContext:
         trace.setflags(write=False)
         self.trace_table = trace
 
-        # gram[i][j] = tr(alpha^(i+j)); row i packed over j is the image of the
-        # basis element alpha^i under the map realizing tr(a*x) as a dot product
-        gram = s[powers[:, None] + powers].astype(np.uint8)
-        gram.setflags(write=False)
-        self.gram_matrix = gram
+        # bit j of row i is tr(alpha^(i+j)), so row i is the image of the basis
+        # element alpha^i under the map realizing tr(a*x) as a dot product
         self._dual_basis = tuple((bits >> i) & n for i in range(m))
         if _gf2_row_rank(self._dual_basis) != m:
             raise NonPrimitivePolynomial(
@@ -295,18 +290,6 @@ class FieldContext:
         if a == 0 or b == 0:
             return 0
         return self._mul_nonzero(a, b)
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e with the empty-product convention pow(0, 0) = 1."""
-        if e < 0:
-            raise ValueError(f"exponent must be nonnegative, got {e}")
-        if a == 0:
-            if e == 0:
-                logger.debug("pow(0, 0) evaluated; returning 1 by convention")
-                return 1
-            return 0
-        n = self.order - 1
-        return int(self.antilog_table[(int(self.log_table[a]) * (e % n)) % n])
 
     def trace(self, a: int) -> int:
         """Absolute trace tr(a), as a bit."""

@@ -64,7 +64,7 @@ from .errors import (
     NotBooleanConsistent,
     ParseError,
 )
-from .gf2m import FieldContext, _leader_sizes, leaders_and_sizes
+from .gf2m import _BLOCK, FieldContext, _leader_sizes, leaders_and_sizes
 
 logger = logging.getLogger(__name__)
 
@@ -173,18 +173,24 @@ class TraceForm:
             i = outside[0]
             raise NotBooleanConsistent(f"coefficient {coeffs[i]} of x^{leaders[i]} "
                                        f"is outside GF(2^{sizes[i]})")
-        exps = np.arange(n, dtype=np.int64)
+        terms = [(leader, int(ctx.log_table[coeff]), size)
+                 for leader, coeff, size in zip(leaders, self.terms.values(), sizes) if coeff]
         field_sum = np.zeros(n, dtype=np.int32)
         bits = np.zeros(n, dtype=np.int32)
-        for leader, coeff, size in zip(leaders, self.terms.values(), sizes):
-            if not coeff:
-                continue
-            logs = (int(ctx.log_table[coeff]) + leader * exps) % n
-            if (self.m // size) % 2:
-                field_sum ^= ctx.antilog_table[logs]
-            else:
-                for k in range(size):
-                    bits ^= ctx.antilog_table[(logs << k) % n]
+        # in blocks of exponents, so the int64 temporaries stay small
+        for start in range(0, n, _BLOCK):
+            exps = np.arange(start, min(start + _BLOCK, n), dtype=np.int64)
+            block_sum = field_sum[start : start + _BLOCK]
+            block_bits = bits[start : start + _BLOCK]
+            for leader, log_c, size in terms:
+                logs = exps * leader
+                logs += log_c
+                logs %= n
+                if (self.m // size) % 2:
+                    block_sum ^= ctx.antilog_table[logs]
+                else:
+                    for k in range(size):
+                        block_bits ^= ctx.antilog_table[(logs << k) % n]
         bits ^= ctx.trace_table[field_sum]
         bits ^= self.constant ^ self.top_coeff
         table = np.zeros(ctx.order, dtype=np.uint8)

@@ -26,42 +26,13 @@ def join(f0: BooleanFunction, f1: BooleanFunction) -> BooleanFunction:
     return BooleanFunction(f0.m + 1, np.concatenate([f0.table, f1.table]))
 
 
-def split(F: BooleanFunction, ctx: FieldContext | None = None) -> "TvrPair":
-    """Components of an even-dimensional function; builds a default field if none given."""
+def split(F: BooleanFunction) -> tuple[BooleanFunction, BooleanFunction]:
+    """The components (f0, f1) of an even-dimensional function: its two halves."""
     if F.m % 2:
         raise OddDimension(f"cannot split a function of odd dimension {F.m}")
     half_m = F.m - 1
-    if ctx is None:
-        ctx = FieldContext(half_m)
     half = 1 << half_m
-    f0 = BooleanFunction(half_m, F.table[:half])
-    f1 = BooleanFunction(half_m, F.table[half:])
-    return TvrPair(ctx, f0, f1)
-
-
-@dataclass(frozen=True)
-class TvrPair:
-    """Components (f0, f1) of a 2t-dimensional function over a field of dimension 2t-1."""
-
-    ctx: FieldContext
-    f0: BooleanFunction
-    f1: BooleanFunction
-
-    def __post_init__(self):
-        if not (self.f0.m == self.f1.m == self.ctx.m):
-            raise DimensionMismatch(
-                f"components and field must share one dimension; got "
-                f"f0.m={self.f0.m}, f1.m={self.f1.m}, ctx.m={self.ctx.m}"
-            )
-        if self.ctx.m % 2 == 0:
-            raise OddDimension(f"component dimension must be odd, got {self.ctx.m}")
-
-    @property
-    def t(self) -> int:
-        return (self.ctx.m + 1) // 2
-
-    def function(self) -> BooleanFunction:
-        return join(self.f0, self.f1)
+    return BooleanFunction(half_m, F.table[:half]), BooleanFunction(half_m, F.table[half:])
 
 
 def inner_product(ctx: FieldContext, a: int, eta: int, x: int, nu: int) -> int:
@@ -109,12 +80,16 @@ class ComponentIdentityReport:
         return (not self.translate_applicable) or bool(self.translate_identity)
 
 
-def component_walsh_identities(pair: TvrPair) -> ComponentIdentityReport:
-    """Verify the joined spectrum against the component spectra, pointwise."""
-    w0 = walsh(pair.f0).coeffs
-    w1 = walsh(pair.f1).coeffs
-    wf = walsh(pair.function()).coeffs
-    half = 1 << pair.ctx.m
+def component_walsh_identities(
+    f0: BooleanFunction, f1: BooleanFunction, ctx: FieldContext
+) -> ComponentIdentityReport:
+    """Verify the spectrum of join(f0, f1) against the component spectra, pointwise."""
+    if f0.m != ctx.m:
+        raise DimensionMismatch(f"f0.m={f0.m} does not match ctx.m={ctx.m}")
+    w0 = walsh(f0).coeffs
+    w1 = walsh(f1).coeffs
+    wf = walsh(join(f0, f1)).coeffs
+    half = 1 << ctx.m
 
     sum_ok = bool(np.array_equal(wf[:half], w0 + w1))
     diff_ok = bool(np.array_equal(wf[half:], w0 - w1))
@@ -124,11 +99,11 @@ def component_walsh_identities(pair: TvrPair) -> ComponentIdentityReport:
     elif not diff_ok:
         witness = int(np.nonzero(wf[half:] != w0 - w1)[0][0])
 
-    applicable = (pair.f0 + pair.f1) == trace_function(pair.ctx)
+    applicable = (f0 + f1) == trace_function(ctx)
     translate_ok = None
     if applicable:
         # f1 = f0 + tr shifts the spectrum by the dual point of 1
-        shift = pair.ctx.dual_index(1)
+        shift = ctx.dual_index(1)
         idx = np.arange(half) ^ shift
         translate_ok = bool(np.array_equal(w1, w0[idx]))
         if witness is None and not translate_ok:
@@ -137,18 +112,20 @@ def component_walsh_identities(pair: TvrPair) -> ComponentIdentityReport:
     return ComponentIdentityReport(sum_ok, diff_ok, applicable, translate_ok, witness)
 
 
-def bent_via_components(pair: TvrPair) -> bool:
-    """Bentness certificate from the components alone.
+def bent_via_components(f0: BooleanFunction, f1: BooleanFunction) -> bool:
+    """Bentness certificate for join(f0, f1) from the components alone.
 
     True iff both components are near-bent and, at every point, exactly one of
     the two component coefficients has magnitude 2^t while the other is zero.
     Agrees with direct classification of the joined function.
     """
-    s0 = walsh(pair.f0)
-    s1 = walsh(pair.f1)
+    if f0.m != f1.m:
+        raise DimensionMismatch(f"components have dimensions {f0.m} and {f1.m}")
+    s0 = walsh(f0)
+    s1 = walsh(f1)
     if s0.classification is not Classification.NEAR_BENT:
         return False
     if s1.classification is not Classification.NEAR_BENT:
         return False
-    peak = 1 << pair.t
+    peak = 1 << ((f0.m + 1) // 2)  # 2^t for components over GF(2^(2t-1))
     return bool(np.all(np.abs(s0.coeffs) + np.abs(s1.coeffs) == peak))

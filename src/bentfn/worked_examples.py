@@ -207,12 +207,12 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
 
     def check_forms(label, fn, first, offset):
         """Compare fn's first component with ``first`` and its component sum with ``offset``."""
-        pair = split(fn, ctx)
+        f0, f1 = split(fn)
         if first is not None:
-            check(f"{label}-first-form", pair.f0 == parse(first, ctx))
+            check(f"{label}-first-form", f0 == parse(first, ctx))
         if offset is not None:
-            check(f"{label}-offset-form", pair.f0 + pair.f1 == parse(offset, ctx))
-        return pair
+            check(f"{label}-offset-form", f0 + f1 == parse(offset, ctx))
+        return f0, f1
 
     f0 = parse(ex.f0, ctx)
     F = join(f0, f0 + trace_function(ctx))
@@ -227,7 +227,7 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
 
     pack = _six_pack_of(F, ctx)
     _, dual_F, pd0, pd1, pd0_dual, pd1_dual = pack.functions()
-    dual_pair = check_forms("dual", dual_F, ex.dual0, ex.dual_offset)
+    dual0, dual1 = check_forms("dual", dual_F, ex.dual0, ex.dual_offset)
 
     support = dual_support_analysis(F, ctx)
     check("dual-support", support.passed)
@@ -271,7 +271,7 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
     if ex.all_degrees is not None:
         degrees = {F.degree(), dual_F.degree(), pd0.degree(), pd1.degree(),
                    pd0_dual.degree(), pd1_dual.degree(),
-                   dual_pair.f0.degree(), dual_pair.f1.degree()}
+                   dual0.degree(), dual1.degree()}
         check("degrees", degrees == {ex.all_degrees}, f"degrees={sorted(degrees)}")
 
     return ExampleResult(ex.example_id, checks, time.perf_counter() - start)

@@ -78,10 +78,10 @@ def test_criterion_2_quadratic_fixture(ctx7):
         # degree 2 everywhere, asserted directly as well
         F = quadratic_family(4, [1, 3], ctx7)
         D = dual(F, ctx7)
-        pair = split(D, ctx7)
-        assert to_trace_form(pair.f0, ctx7) == to_trace_form(parse("tr(x^9+x)", ctx7), ctx7)
-        assert to_trace_form(pair.f1, ctx7) == to_trace_form(parse("tr(x^9)", ctx7), ctx7)
-        pack = six_pack(split(F, ctx7).f0, ctx7)
+        d0, d1 = split(D)
+        assert to_trace_form(d0, ctx7) == to_trace_form(parse("tr(x^9+x)", ctx7), ctx7)
+        assert to_trace_form(d1, ctx7) == to_trace_form(parse("tr(x^9)", ctx7), ctx7)
+        pack = six_pack(split(F)[0], ctx7)
         assert pack.pseudo0 == D and pack.pseudo0_dual == F
         assert {fn.degree() for fn in pack.functions()} == {2}
 
@@ -218,8 +218,7 @@ def test_criterion_6_property_battery(ctx5, ctx7, ctx11):
 
         for F, ctx in generated:
             assert classify(F) is Classification.BENT
-            pair = split(F, ctx)
-            for component in (pair.f0, pair.f1):
+            for component in split(F):
                 spectrum = walsh(component)
                 assert spectrum.classification is Classification.NEAR_BENT
                 assert check_nearbent_distribution(spectrum, component[0])

@@ -59,7 +59,7 @@ class TestVerbose:
         # at m = 13
         ctx = FieldContext(m)
         if algorithm == "additive FFT":
-            f0 = split(_six_pack_of(kasami_welch(7, 4, ctx), ctx).dual, ctx).f0
+            f0, _ = split(_six_pack_of(kasami_welch(7, 4, ctx), ctx).dual)
             f0.save(tmp_path / "seed.bf")
             source = ["--table", str(tmp_path / "seed.bf")]
         else:
@@ -73,8 +73,8 @@ class TestVerbose:
         assert quiet.stderr == ""
         # the 13 printed tables: the normalized seed, then both components of each function
         seed = normalize_near_bent(f0, ctx)
-        pairs = [split(fn, ctx) for fn in six_pack(seed, ctx).functions()]
-        tables = [seed.table] + [half.table for pair in pairs for half in (pair.f0, pair.f1)]
+        tables = [seed.table] + [half.table for fn in six_pack(seed, ctx).functions()
+                                 for half in split(fn)]
         tr = ctx.trace_table
         translates = [0, 1, tr, tr ^ 1]
         classes = []
@@ -217,6 +217,20 @@ class TestAnalyze:
         assert result.exit_code == 0
         assert "check dual-unit-derivatives: PASS" in result.output
 
+    @pytest.mark.parametrize("source", ["expr", "table"])
+    def test_checks_refuse_odd_dimension(self, runner, tmp_path, trace_form_calls, source):
+        # the checks are defined on even dimensions only; refused before any work
+        if source == "table":
+            parse("tr(x^3)", FieldContext(9)).save(tmp_path / "odd.bf")
+            args = ["analyze", "--table", str(tmp_path / "odd.bf")]
+        else:
+            args = ["analyze", "--dim", "9", "--expr", "tr(x^3)"]
+        result = invoke(runner, [*args, "--checks"])
+        assert_failure(result, 2, "error")
+        assert "--checks needs an even-dimensional function, got dimension 9" in result.stderr
+        assert result.stdout == "" and not trace_form_calls
+        assert invoke(runner, args).exit_code == 0
+
 
 class TestGenerate:
     def test_kasami_welch(self, runner, tmp_path):
@@ -323,9 +337,9 @@ class TestSixpack:
         assert payload["seed_trace_form"] == to_trace_form(seed, ctx7).as_dict(ctx7)
         assert len(payload["functions"]) == 6
         for label, entry in payload["functions"].items():
-            pair = split(BooleanFunction.load(entry["file"]), ctx7)
-            assert entry["f0_trace_form"] == to_trace_form(pair.f0, ctx7).as_dict(ctx7), label
-            assert entry["f1_trace_form"] == to_trace_form(pair.f1, ctx7).as_dict(ctx7), label
+            f0, f1 = split(BooleanFunction.load(entry["file"]))
+            assert entry["f0_trace_form"] == to_trace_form(f0, ctx7).as_dict(ctx7), label
+            assert entry["f1_trace_form"] == to_trace_form(f1, ctx7).as_dict(ctx7), label
 
     def test_one_interpolation_per_class(self, runner, tmp_path, ctx7, trace_form_calls):
         # classes modulo adding tr and 1, among the seed and the 12 components
@@ -336,8 +350,7 @@ class TestSixpack:
         assert result.exit_code == 0
         tables = [parse("tr(x^3+x^9)", ctx7)]
         for entry in json.loads(result.output)["functions"].values():
-            pair = split(BooleanFunction.load(entry["file"]), ctx7)
-            tables += [pair.f0, pair.f1]
+            tables += split(BooleanFunction.load(entry["file"]))
         tr = ctx7.trace_table
         classes = {min((f.table ^ s).tobytes() for s in (0, 1, tr, tr ^ 1)) for f in tables}
         assert len(trace_form_calls) == len(classes) <= 2

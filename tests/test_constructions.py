@@ -32,13 +32,15 @@ from bentfn.errors import (
 from bentfn.spectrum import Classification, classify, dual, walsh
 from bentfn.tvr import join, linear_form, split
 
+from helpers import gf_pow
+
 
 class TestBentFromNearBent:
     def test_quadratic_seed(self, ctx7):
         f0 = trace_polynomial(ctx7, [3, 9])
         F = bent_from_near_bent(f0, ctx7)
         assert classify(F) is Classification.BENT
-        assert split(F, ctx7).f0 == f0
+        assert split(F)[0] == f0
 
     def test_kasami_seed_rejected(self, ctx7):
         with pytest.raises(DerivativeNotConstant):
@@ -86,10 +88,9 @@ class TestNormalize:
         # substituting x -> cx moves the constant-derivative direction from 1
         # to 1/c while preserving near-bentness
         base = trace_polynomial(ctx7, [3]) + 1
-        c = next(
-            c for c in range(2, 128) if ctx7.trace(ctx7.pow(c, 126)) == 1
-        )
-        e = ctx7.pow(c, 126)  # c^(2^7 - 2) = 1/c
+        poly = ctx7.primitive_poly
+        c = next(c for c in range(2, 128) if ctx7.trace(gf_pow(c, 126, poly)) == 1)
+        e = gf_pow(c, 126, poly)  # c^(2^7 - 2) = 1/c
         f = BooleanFunction(7, [base[ctx7.mul(c, x)] for x in range(128)])
         assert f.derivative(e).is_constant() == 1
         h = normalize_near_bent(f, ctx7, e=e)
@@ -137,11 +138,11 @@ class TestDualSupport:
         # the zero-set indicator is 1 + tr(x^5) for this seed
         expected = trace_polynomial(ctx7, [5], constant_term=1)
         assert report.g == expected
-        values = walsh(split(F, ctx7).f0).trace_indexed(ctx7)
+        values = walsh(split(F)[0]).trace_indexed(ctx7)
         assert np.array_equal(report.s_indicator.table, values == -16)
         S = {int(v) for v in report.s_indicator.support()}
         S1 = {v ^ 1 for v in S}
-        assert {int(v) for v in split(dual(F, ctx7), ctx7).f0.support()} == S | S1
+        assert {int(v) for v in split(dual(F, ctx7))[0].support()} == S | S1
         assert len(S1) == len(S) and not (S & S1)
         assert report.g.weight() == 64
 
@@ -197,8 +198,8 @@ class TestIdentityCheckers:
             F = join(f0, f0 + tr)
             report = check_dual_component_sum(F, ctx5)
             assert report.passed
-            dual_pair = split(dual(F, ctx5), ctx5)
-            assert dual_pair.f0 + dual_pair.f1 == tr + omega
+            d0, d1 = split(dual(F, ctx5))
+            assert d0 + d1 == tr + omega
 
     def test_pseudo_dual_conditions_xi0(self, ctx7):
         F = kasami_welch(4, 2, ctx7)
@@ -256,18 +257,18 @@ class TestFamilies:
     def test_kasami_welch_function(self, ctx7):
         F = kasami_welch(4, 2, ctx7)
         assert classify(F) is Classification.BENT
-        assert split(F, ctx7).f0 == trace_polynomial(ctx7, [13])
+        assert split(F)[0] == trace_polynomial(ctx7, [13])
 
     def test_quadratic_family(self, ctx7):
         F = quadratic_family(4, [1, 3], ctx7)
         assert classify(F) is Classification.BENT
         assert F.degree() == 2
-        assert split(F, ctx7).f0 == trace_polynomial(ctx7, [3, 9])
+        assert split(F)[0] == trace_polynomial(ctx7, [3, 9])
 
     def test_quadratic_derivative_parity(self, ctx7):
         for J in ([1], [2], [1, 2], [1, 2, 3]):
             F = quadratic_family(4, J, ctx7)
-            assert split(F, ctx7).f0.derivative(1).is_constant() == len(J) % 2
+            assert split(F)[0].derivative(1).is_constant() == len(J) % 2
 
     def test_quadratic_rejects_bad_sets(self, ctx7):
         with pytest.raises(InvalidExponentSet):
@@ -289,8 +290,8 @@ class TestFamilies:
         F = quadratic_family(4, [1, 3], ctx7)
         D = dual(F, ctx7)
         assert F.degree() == 2 and D.degree() == 2
-        pair = split(D, ctx7)
-        assert pair.f0.degree() == 2 and pair.f1.degree() == 2
+        d0, d1 = split(D)
+        assert d0.degree() == 2 and d1.degree() == 2
 
     def test_exponent_set_sweep_is_deterministic(self):
         assert list(quadratic_exponent_sets(3)) == [(1,), (2,), (1, 2)]
@@ -300,10 +301,10 @@ class TestPseudoDuals:
     def test_components_pair_dual_halves_with_trace(self, ctx7):
         F = kasami_welch(4, 2, ctx7)
         pd0, pd1 = pseudo_duals(F, ctx7)
-        dual_pair = split(dual(F, ctx7), ctx7)
+        d0, d1 = split(dual(F, ctx7))
         tr = trace_function(ctx7)
-        assert pd0 == join(dual_pair.f0, dual_pair.f0 + tr)
-        assert pd1 == join(dual_pair.f1, dual_pair.f1 + tr)
+        assert pd0 == join(d0, d0 + tr)
+        assert pd1 == join(d1, d1 + tr)
         assert classify(pd0) is Classification.BENT
         assert classify(pd1) is Classification.BENT
 
@@ -356,7 +357,7 @@ class TestSixPack:
     def test_exhaustive_t3(self, ctx5):
         for J in quadratic_exponent_sets(3):
             F = quadratic_family(3, J, ctx5)
-            pack = six_pack(split(F, ctx5).f0, ctx5)
+            pack = six_pack(split(F)[0], ctx5)
             assert all(classify(fn) is Classification.BENT for fn in pack.functions())
             suite = verify_function(F, ctx5)
             assert suite.passed
@@ -439,8 +440,8 @@ class TestVerifyFunction:
         "dual-support": dual_support_analysis,
         "dual-component-sum": check_dual_component_sum,
         "pseudo-dual-conditions": check_pseudo_dual_conditions,
-        "spectrum-zero-set-f0": lambda F, ctx: check_spectrum_zero_set(split(F, ctx).f0, ctx),
-        "spectrum-zero-set-f1": lambda F, ctx: check_spectrum_zero_set(split(F, ctx).f1, ctx),
+        "spectrum-zero-set-f0": lambda F, ctx: check_spectrum_zero_set(split(F)[0], ctx),
+        "spectrum-zero-set-f1": lambda F, ctx: check_spectrum_zero_set(split(F)[1], ctx),
     }
 
     @pytest.mark.parametrize(("exponent", "xi", "skips"), [

@@ -38,7 +38,7 @@ def kasami_welch_component(t: int, s: int) -> BooleanFunction:
     """f0 of the pseudo0-dual in the six-pack of kasami_welch(t, s): degree s + 1
     with dozens of trace terms, against the one term of the seed."""
     ctx = FieldContext(2 * t - 1)
-    return split(_six_pack_of(kasami_welch(t, s, ctx), ctx).pseudo0_dual, ctx).f0
+    return split(_six_pack_of(kasami_welch(t, s, ctx), ctx).pseudo0_dual)[0]
 
 
 #: the input files a case may name as {table}
@@ -66,7 +66,7 @@ CASES = {
     "analyze_dim10_pair_checks": ["analyze", "--dim", "10", "--expr-pair", "tr(x^3+x^9)",
                                   "+tr(x)+1", "--checks"],
     "analyze_dim10_table": ["analyze", "--table", "{bent10}"],
-    # m = 11 and 13 are interpolated by the additive FFT
+    # quadratic throughout: each class is summed over its leaders of weight <= 2
     "sixpack_m11_table": ["sixpack", "--table", "{seed11}"],
     "sixpack_m11_expr_normalize": ["sixpack", "--dim", "11", "--expr", "tr(x^3+x^9+x^33)+1",
                                    "--normalize"],
@@ -75,8 +75,9 @@ CASES = {
                                    "--normalize"],
     "analyze_dim12_pair_checks": ["analyze", "--dim", "12", "--expr-pair", "tr(x^3+x^9)",
                                   "+tr(x)+1", "--checks"],
+    # degree 11 and 5: the only cases interpolated by the additive FFT; the second
+    # was captured while every m = 13 table was interpolated that way
     "analyze_dim11_top": ["analyze", "--dim", "11", "--expr", "x^2047"],
-    # captured while m = 13 was interpolated by the additive FFT alone
     "analyze_m13_kasami_welch_table": ["analyze", "--table", "{kw13}"],
     # the skip rule of verify: Kasami-Welch with f0 + f1 = tr has a non-constant
     # unit derivative; the second pair is bent but f0 + f1 is neither tr nor tr + 1

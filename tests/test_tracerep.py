@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from bentfn.tracerep import (
 )
 from bentfn.tvr import split
 
-from helpers import conjugate_loop_evaluate, random_function
+from helpers import conjugate_loop_evaluate, gf_mul, gf_pow, random_function
 
 # Kasami-Welch exponents 4^s - 2^s + 1 with 3s = +-1 mod m
 KASAMI_WELCH_EXPONENT = {7: 13, 11: 241, 13: 241}
@@ -105,10 +106,11 @@ class TestMattsonSolomon:
         rng = np.random.default_rng(31)
         f = random_function(rng, 5)
         coeffs = mattson_solomon(f, ctx5)
+        poly = ctx5.primitive_poly
         for x in range(1, 32):
             value = 0
             for j, c in enumerate(coeffs):
-                value ^= ctx5.mul(int(c), ctx5.pow(x, j))
+                value ^= gf_mul(int(c), gf_pow(x, j, poly), poly)
             assert value == f[x]
 
     @pytest.mark.parametrize("m", [7, 11, 13])
@@ -405,6 +407,30 @@ class TestEvaluate:
             form = random_form(rng, ctx)
             assert form.evaluate(ctx) == conjugate_loop_evaluate(form, ctx)
 
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_blocks_of_exponents_match_conjugate_loop(self, m, monkeypatch):
+        # 2^m - 1 exponents in blocks of 10, the last one short
+        monkeypatch.setattr(tracerep, "_BLOCK", 10)
+        ctx = FieldContext(m)
+        rng = np.random.default_rng(71 + m)
+        for _ in range(20):
+            form = random_form(rng, ctx)
+            assert form.evaluate(ctx) == conjugate_loop_evaluate(form, ctx)
+
+    def test_temporaries_stay_small_at_m21(self):
+        # the 2^21-point table is 2 MiB; whole-size int64 temporaries peaked at 80 MiB
+        ctx = FieldContext(21)
+        ctx.log_table  # built on first use, not part of the evaluation
+        form = TraceForm(21, 0, {3: 1, 5: 1})
+        tracemalloc.start()
+        try:
+            table = form.evaluate(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20, f"{peak / 2**20:.1f} MiB"
+        assert table == trace_polynomial(ctx, [3, 5])
+
     @pytest.mark.parametrize("leader", [9, 21])
     def test_coefficient_outside_subfield_rejected(self, leader):
         # m = 6: the coset of 9 has size 3 (m/size even), that of 21 size 2
@@ -503,8 +529,8 @@ class TestFormat:
 
 def xi_of(fn: BooleanFunction, ctx: FieldContext):
     """The xi with fn = join(f0, f0 + tr + xi), or None."""
-    pair = split(fn, ctx)
-    gap = pair.f0.table ^ pair.f1.table ^ ctx.trace_table
+    f0, f1 = split(fn)
+    gap = f0.table ^ f1.table ^ ctx.trace_table
     return int(gap[0]) if not np.any(gap ^ gap[0]) else None
 
 
@@ -521,8 +547,7 @@ class TestTraceForms:
         """The 13 tables ``sixpack`` prints: the seed, then both components of each member."""
         tables = [seed]
         for fn in pack.functions():
-            pair = split(fn, ctx)
-            tables += [pair.f0, pair.f1]
+            tables += split(fn)
         return tables
 
     @pytest.mark.parametrize("m, exponents", [(5, [3]), (7, [3, 9]), (9, [3, 9]), (11, [3])])
@@ -545,7 +570,7 @@ class TestTraceForms:
         F = kasami_welch(t, s, ctx)
         pack = _six_pack_of(F, ctx)
         assert {0, 1, None} <= {xi_of(fn, ctx) for fn in pack.functions()}
-        tables = self.six_pack_tables(split(F, ctx).f0, pack, ctx)
+        tables = self.six_pack_tables(split(F)[0], pack, ctx)
         self.assert_matches_independent_forms(tables, ctx)
 
     @pytest.mark.parametrize("m", [5, 6, 7, 8])

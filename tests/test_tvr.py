@@ -7,7 +7,6 @@ from bentfn.boolfn import BooleanFunction, trace_function, trace_polynomial
 from bentfn.errors import DimensionMismatch, OddDimension
 from bentfn.spectrum import Classification, classify, walsh
 from bentfn.tvr import (
-    TvrPair,
     bent_via_components,
     component_walsh_identities,
     inner_product,
@@ -32,15 +31,11 @@ class TestSplitJoin:
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, ctx3, two):
         f0, f1 = two
-        pair = split(join(f0, f1), ctx3)
-        assert pair.f0 == f0 and pair.f1 == f1
-        assert pair.function() == join(f0, f1)
+        assert split(join(f0, f1)) == (f0, f1)
 
     def test_top_variable_projection(self, ctx3):
         F = BooleanFunction(4, [0] * 8 + [1] * 8)  # F(u, nu) = nu
-        pair = split(F, ctx3)
-        assert pair.f0 == BooleanFunction.constant(3, 0)
-        assert pair.f1 == BooleanFunction.constant(3, 1)
+        assert split(F) == (BooleanFunction.constant(3, 0), BooleanFunction.constant(3, 1))
 
     def test_split_requires_even(self):
         with pytest.raises(OddDimension):
@@ -50,16 +45,11 @@ class TestSplitJoin:
         with pytest.raises(DimensionMismatch):
             join(BooleanFunction.constant(3, 0), BooleanFunction.constant(4, 0))
 
-    def test_default_context(self):
-        pair = split(BooleanFunction.constant(8, 0))
-        assert pair.ctx.m == 7 and pair.t == 4
-
     def test_dim12_components(self, ctx11):
         f0 = trace_polynomial(ctx11, [241, 1])
         f1 = trace_polynomial(ctx11, [241])
-        pair = split(join(f0, f1), ctx11)
-        assert pair.f0 == f0 and pair.f1 == f1
-        assert pair.f0 + pair.f1 == trace_function(ctx11)
+        assert split(join(f0, f1)) == (f0, f1)
+        assert f0 + f1 == trace_function(ctx11)
 
     @given(two=pairs(3))
     @settings(max_examples=40, deadline=None)
@@ -118,8 +108,7 @@ class TestComponentIdentities:
 
     def test_kasami_pair_all_identities(self, ctx7):
         f0 = trace_polynomial(ctx7, [13])
-        pair = TvrPair(ctx7, f0, f0 + trace_function(ctx7))
-        report = component_walsh_identities(pair)
+        report = component_walsh_identities(f0, f0 + trace_function(ctx7), ctx7)
         assert report.sum_identity and report.difference_identity
         assert report.translate_applicable and report.translate_identity
         assert report.passed
@@ -127,8 +116,8 @@ class TestComponentIdentities:
     def test_random_pairs(self, ctx5):
         rng = np.random.default_rng(6)
         for _ in range(300):
-            pair = TvrPair(ctx5, random_function(rng, 5), random_function(rng, 5))
-            report = component_walsh_identities(pair)
+            report = component_walsh_identities(random_function(rng, 5),
+                                                random_function(rng, 5), ctx5)
             assert report.sum_identity and report.difference_identity
             assert not report.translate_applicable
 
@@ -137,26 +126,35 @@ class TestComponentIdentities:
         tr = trace_function(ctx5)
         for _ in range(100):
             f0 = random_function(rng, 5)
-            report = component_walsh_identities(TvrPair(ctx5, f0, f0 + tr))
+            report = component_walsh_identities(f0, f0 + tr, ctx5)
             assert report.passed
+
+    def test_components_and_field_share_one_dimension(self, ctx5, ctx7):
+        f5, f7 = trace_polynomial(ctx5, [3]), trace_polynomial(ctx7, [3])
+        with pytest.raises(DimensionMismatch):
+            component_walsh_identities(f5, f5, ctx7)
+        with pytest.raises(DimensionMismatch):
+            component_walsh_identities(f7, f5, ctx7)
+        with pytest.raises(DimensionMismatch):
+            bent_via_components(f5, f7)
 
 
 class TestBentCertificate:
     def test_equal_components_never_bent(self, ctx5):
         f = trace_polynomial(ctx5, [3])
-        assert not bent_via_components(TvrPair(ctx5, f, f))
+        assert not bent_via_components(f, f)
 
     def test_quadratic_pair_certified(self, ctx7):
         f0 = trace_polynomial(ctx7, [3, 9])
-        assert bent_via_components(TvrPair(ctx7, f0, f0 + trace_function(ctx7)))
+        assert bent_via_components(f0, f0 + trace_function(ctx7))
 
     def test_agrees_with_direct_classification(self, ctx5):
         rng = np.random.default_rng(12)
         hits = 0
         for _ in range(500):
-            pair = TvrPair(ctx5, random_function(rng, 5), random_function(rng, 5))
-            cert = bent_via_components(pair)
-            direct = classify(pair.function()) is Classification.BENT
+            f0, f1 = random_function(rng, 5), random_function(rng, 5)
+            cert = bent_via_components(f0, f1)
+            direct = classify(join(f0, f1)) is Classification.BENT
             assert cert == direct
             hits += cert
         # random pairs occasionally are bent; the loop must have seen both outcomes
