@@ -163,7 +163,7 @@ class BooleanFunction:
         return cls.from_hex(m, digits)
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_text())
+        Path(path).write_bytes(self.to_text().encode("ascii"))
 
     @classmethod
     def load(cls, path) -> "BooleanFunction":

@@ -10,15 +10,14 @@ mismatch (``examples``).
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import errno
 import json
 import logging
 import os
 import re
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 import click
@@ -414,22 +413,25 @@ def sixpack(dim, expr, table, normalize, poly, out, prefix, as_json, timestamps)
 
 
 def _save_all(files: dict[Path, BooleanFunction]) -> None:
-    """Writes every file or none.  The tables go to a staging directory beside
-    their targets, under the targets' own names, so a name that cannot be
-    written fails before any target is touched; they are moved into place only
-    once all are written and no target is a directory."""
-    (parent,) = {path.parent for path in files}
-    staging = Path(tempfile.mkdtemp(prefix=".bentfn-", dir=parent))
+    """Writes every file or none.  Each table goes first to a hidden sibling
+    ``.<name>.part`` of its target, so a name that cannot be written fails
+    before any target is touched; the siblings are renamed into place only once
+    all are written and no target is a directory, and any failure unlinks them."""
+    parts = []
     try:
         for path, fn in files.items():
-            fn.save(staging / path.name)
+            parts.append(path.with_name(f".{path.name}.part"))
+            fn.save(parts[-1])
         for path in files:
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        for path in files:
-            os.replace(staging / path.name, path)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        for part, path in zip(parts, files):
+            os.replace(part, path)
+    except BaseException:
+        for part in parts:
+            with contextlib.suppress(OSError):
+                part.unlink()
+        raise
 
 
 def _classes_text(classes):

@@ -7,7 +7,15 @@ dependence in one bijection.
 
 A function's spectrum is computed once: :func:`walsh` keeps it on the
 immutable :class:`~bentfn.boolfn.BooleanFunction`, so duals, checkers and the
-CLI share one transform per function object.
+CLI share one transform per function object.  Joins with the trace are not
+transformed at all: :func:`trace_join` derives the spectrum of join(c, c + tr)
+from the half-size spectrum of c.  A six-pack's base and both pseudo-duals are
+built that way; the pseudo-duals that the verify checker builds are not.
+
+Up to ``_FWHT_BLOCK`` (2^16) points the butterfly runs its upper levels on the
+natural layout and its lower levels on one transposed copy, so no level works
+on runs shorter than 2^(m//2) entries; above that it runs each level in pieces
+of ``_FWHT_BLOCK`` entries on the natural layout.
 """
 
 from __future__ import annotations
@@ -31,11 +39,32 @@ class Classification(enum.Enum):
     NEITHER = "neither"
 
 
+def _levels(values: np.ndarray, h: int) -> None:
+    # the butterfly levels of spans 2h, 4h, ... up to the whole array, in place
+    while h < values.size:
+        pairs = values.reshape(-1, 2, h)
+        top, bottom = pairs[:, 0], pairs[:, 1]
+        total = top + bottom
+        np.subtract(top, bottom, out=bottom)
+        top[...] = total
+        h <<= 1
+
+
 def _fwht(values: np.ndarray) -> np.ndarray:
     # in-place butterfly; O(m 2^m) with |coefficients| <= 2^m, safe in int32.
+    size = values.size
+    if size <= _FWHT_BLOCK:
+        # The levels of the upper m - m//2 bits run on the natural layout, those
+        # of the lower m//2 bits on one transposed copy, where those bits are on
+        # top: every level then works on runs of at least 2^(m//2) entries.
+        low = 1 << ((size.bit_length() - 1) // 2)
+        _levels(values, low)
+        columns = values.reshape(-1, low).T.copy()
+        _levels(columns.reshape(-1), size // low)
+        values.reshape(-1, low)[...] = columns.T
+        return values
     # Each level runs in pieces of at most _FWHT_BLOCK entries, so its one
     # temporary has at most _FWHT_BLOCK / 2 entries at any size.
-    size = values.size
     half = _FWHT_BLOCK // 2
     h = 1
     while h < size:
@@ -109,6 +138,40 @@ def walsh(f: BooleanFunction) -> WalshSpectrum:
         coeffs.setflags(write=False)
         f._spectrum = WalshSpectrum(f.m, coeffs, label, histogram)
     return f._spectrum
+
+
+def trace_join(c: BooleanFunction, ctx: FieldContext) -> BooleanFunction:
+    """join(c, c + tr), with its spectrum derived from c's instead of transformed.
+
+    c + tr has c's spectrum translated by s = ``ctx.dual_index(1)``, so the
+    joined coefficient at (u, 0) is W_c(u) + W_c(u + s) and at (u, 1) it is
+    W_c(u) - W_c(u + s) (Canteaut and Charpin, Decomposing bent functions,
+    2003).  The one transform is the half-size ``walsh(c)``.
+    """
+    if c.m + 1 > MAX_WALSH_DIMENSION:
+        raise DimensionOutOfRange(f"dimension {c.m + 1} exceeds {MAX_WALSH_DIMENSION}")
+    if ctx.m != c.m:
+        raise DimensionMismatch(f"field has dimension {ctx.m}, function has dimension {c.m}")
+    F = BooleanFunction(c.m + 1, np.concatenate([c.table, c.table ^ ctx.trace_table]))
+
+    # W_c(u + s) block by block: the bits of s above the block pick the source
+    # block, those below it permute within the block by one small index
+    w = walsh(c).coeffs
+    n, s = w.size, ctx.dual_index(1)
+    block = min(n, _FWHT_BLOCK)
+    inner = np.arange(block, dtype=np.int32) ^ np.int32(s & (block - 1))
+    shifted = np.empty(block, dtype=np.int32)
+    coeffs = np.empty(2 * n, dtype=np.int32)
+    for lo in range(0, n, block):
+        hi = lo + block
+        source = lo ^ (s & -block)
+        np.take(w[source : source + block], inner, out=shifted)
+        np.add(w[lo:hi], shifted, out=coeffs[lo:hi])
+        np.subtract(w[lo:hi], shifted, out=coeffs[n + lo : n + hi])
+    label, histogram = _classify(coeffs, F.m)
+    coeffs.setflags(write=False)
+    F._spectrum = WalshSpectrum(F.m, coeffs, label, histogram)
+    return F
 
 
 def classify(obj) -> Classification:

@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from .boolfn import trace_function
 from .constructions import (
     CheckItem,
     _six_pack_of,
@@ -27,9 +26,9 @@ from .constructions import (
 )
 from .errors import BentfnError
 from .gf2m import FieldContext
-from .spectrum import Classification, walsh
+from .spectrum import Classification, trace_join, walsh
 from .tracerep import parse
-from .tvr import join, linear_form, split
+from .tvr import linear_form, split
 
 
 @dataclass(frozen=True)
@@ -214,8 +213,7 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
             check(f"{label}-offset-form", f0 + f1 == parse(offset, ctx))
         return f0, f1
 
-    f0 = parse(ex.f0, ctx)
-    F = join(f0, f0 + trace_function(ctx))
+    F = trace_join(parse(ex.f0, ctx), ctx)
 
     spectrum = walsh(F)
     check("bent", spectrum.classification is Classification.BENT,

@@ -364,6 +364,38 @@ class TestSixpack:
         assert "Is a directory" in result.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["sixpack_dual.bf"]
 
+    SIX_FILES = sorted(f"sixpack_{label}.bf" for label in
+                       ("base", "dual", "pseudo0", "pseudo1", "pseudo0-dual", "pseudo1-dual"))
+
+    def test_success_leaves_only_the_six_files(self, runner, tmp_path):
+        result = invoke(
+            runner, ["sixpack", "--dim", "7", "--expr", "tr(x^3)", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 0
+        # no .part sibling and no staging directory is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == self.SIX_FILES
+
+    def test_failure_at_fourth_write_leaves_no_new_file(self, runner, tmp_path, monkeypatch):
+        save = BooleanFunction.save
+        calls = []
+
+        def failing_save(fn, path):
+            calls.append(path)
+            if len(calls) == 4:
+                raise OSError(28, "No space left on device")
+            save(fn, path)
+
+        (tmp_path / "sixpack_pseudo1.bf").write_bytes(b"kept")
+        monkeypatch.setattr(BooleanFunction, "save", failing_save)
+        result = invoke(
+            runner, ["sixpack", "--dim", "7", "--expr", "tr(x^3)", "--out", str(tmp_path)]
+        )
+        assert_failure(result, 2, "error")
+        assert "No space left on device" in result.stderr
+        assert len(calls) == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["sixpack_pseudo1.bf"]
+        assert (tmp_path / "sixpack_pseudo1.bf").read_bytes() == b"kept"
+
     def test_all_six_identical_summary(self, runner, tmp_path):
         result = invoke(
             runner,

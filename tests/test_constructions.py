@@ -29,6 +29,7 @@ from bentfn.errors import (
     InvalidExponentSet,
     NotNearBent,
 )
+from bentfn.gf2m import FieldContext
 from bentfn.spectrum import Classification, classify, dual, walsh
 from bentfn.tvr import join, linear_form, split
 
@@ -381,7 +382,9 @@ class TestOneSpectrumPerFunction:
         f = trace_polynomial(ctx7, [13])
         assert walsh(f) is walsh(f)
 
-    def test_verify_function_transform_count(self, ctx7, monkeypatch):
+    @pytest.fixture()
+    def fwht_sizes(self, monkeypatch):
+        """The size of every FWHT that runs while the test does."""
         import bentfn.spectrum as spectrum
 
         sizes = []
@@ -391,14 +394,38 @@ class TestOneSpectrumPerFunction:
             sizes.append(values.size)
             return fwht(values)
 
+        monkeypatch.setattr(spectrum, "_fwht", counting_fwht)
+        return sizes
+
+    def test_verify_function_transform_count(self, ctx7, fwht_sizes):
         f0 = trace_polynomial(ctx7, [3, 9])
         F = join(f0, f0 + trace_function(ctx7))
-        monkeypatch.setattr(spectrum, "_fwht", counting_fwht)
         suite = verify_function(F, ctx7)
         assert suite.passed and not suite.skipped
-        assert len(sizes) <= 6
-        assert sizes.count(256) <= 3
+        # F and the two pseudo-duals that check_pseudo_dual_conditions builds at
+        # 2^8 points; at 2^7 points f0 for dual-support, f0 again and f1 for the
+        # zero-set checks, since each split(F) makes fresh components
+        assert sorted(fwht_sizes) == [128] * 3 + [256] * 3
 
+    @pytest.mark.parametrize("m", [7, 11])
+    def test_six_pack_transform_count(self, m, fwht_sizes):
+        # the seed and both dual components are transformed; base and both
+        # pseudo-duals are joins with the trace, so their spectra are derived;
+        # only the pseudo-duals' duals need full-size transforms
+        ctx = FieldContext(m)
+        pack = six_pack(trace_polynomial(ctx, [3]), ctx)
+        # reading the derived spectra runs no further transform
+        assert all(walsh(fn).classification is Classification.BENT
+                   for fn in (pack.base, pack.pseudo0, pack.pseudo1))
+        assert sorted(fwht_sizes) == [1 << m] * 3 + [2 << m] * 2
+
+    def test_catalogue_entry_transform_count(self, fwht_sizes):
+        from bentfn.worked_examples import EXAMPLES, run_example
+
+        assert run_example(EXAMPLES[1]).passed
+        # six_pack's 3 + 2, dual-support's f0 and the two pseudo-duals that
+        # check_pseudo_dual_conditions joins and transforms itself
+        assert sorted(fwht_sizes) == [128] * 4 + [256] * 4
 
     def test_refused_zero_set_check_makes_no_transform(self, ctx7, monkeypatch):
         import bentfn.spectrum as spectrum

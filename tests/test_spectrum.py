@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from bentfn.boolfn import BooleanFunction, trace_function, trace_polynomial
-from bentfn.errors import DimensionOutOfRange, NotBent, NotNearBent
+from bentfn.errors import DimensionMismatch, DimensionOutOfRange, NotBent, NotNearBent
+from bentfn.gf2m import FieldContext
 from bentfn.spectrum import (
     Classification,
     check_nearbent_distribution,
     classify,
     dual,
+    trace_join,
     walsh,
     walsh_at_field_point,
 )
@@ -21,18 +23,25 @@ class TestTransform:
         s = walsh(BooleanFunction.constant(3, 0))
         assert list(s.coeffs) == [8, 0, 0, 0, 0, 0, 0, 0]
 
-    @pytest.mark.parametrize("m", range(2, 9))
+    # up to 2^16 points the butterfly runs on the natural layout and then on a
+    # transposed copy; with the Kronecker tests below, every m = 1..16 is checked
+    @pytest.mark.parametrize("m", range(1, 10))
     def test_matches_naive_small(self, m):
         rng = np.random.default_rng(m)
         for _ in range(8):
             f = random_function(rng, m)
             assert np.array_equal(walsh(f).coeffs, naive_walsh(f))
 
-    @pytest.mark.parametrize("m", [10, 12])
+    @pytest.mark.parametrize("m", [10, 11, 12])
     def test_matches_naive_larger(self, m):
         rng = np.random.default_rng(m)
         f = random_function(rng, m)
         assert np.array_equal(walsh(f).coeffs, naive_walsh(f))
+
+    @pytest.mark.parametrize("m", [13, 14, 15])
+    def test_matches_kronecker_transposed(self, m):
+        f = random_function(np.random.default_rng(m), m)
+        assert np.array_equal(walsh(f).coeffs, kronecker_walsh(f))
 
     @pytest.mark.parametrize("m", [16, 17, 18])
     def test_matches_kronecker_across_blocks(self, m):
@@ -189,3 +198,53 @@ class TestDual:
         F = join(f0, f0 + trace_function(ctx5))
         for v in range(1, 64):
             assert F.derivative(v).is_balanced()
+
+
+class TestTraceJoin:
+    """trace_join derives the spectrum of join(c, c + tr) from c's; a full FWHT
+    of the same table, on a fresh object, is the oracle."""
+
+    @staticmethod
+    def assert_matches_full_transform(c, ctx):
+        F = trace_join(c, ctx)
+        assert F == join(c, c + trace_function(ctx))
+        derived = walsh(F)
+        full = walsh(BooleanFunction(F.m, F.table))
+        assert np.array_equal(derived.coeffs, full.coeffs)
+        assert derived.classification is full.classification
+        assert list(derived.histogram.items()) == list(full.histogram.items())
+        assert not derived.coeffs.flags.writeable
+        return derived
+
+    @pytest.mark.parametrize("m", range(3, 14, 2))
+    def test_matches_full_transform(self, m):
+        ctx = FieldContext(m)
+        rng = np.random.default_rng(m)
+        # a near-bent seed gives a bent join, a random table neither
+        bent = self.assert_matches_full_transform(trace_polynomial(ctx, [3]), ctx)
+        assert bent.classification is Classification.BENT
+        for _ in range(3):
+            neither = self.assert_matches_full_transform(random_function(rng, m), ctx)
+            assert neither.classification is Classification.NEITHER
+
+    def test_matches_full_transform_under_alternative_polynomial(self, ctx7_alt):
+        rng = np.random.default_rng(70)
+        self.assert_matches_full_transform(trace_polynomial(ctx7_alt, [13]), ctx7_alt)
+        self.assert_matches_full_transform(random_function(rng, 7), ctx7_alt)
+
+    def test_matches_full_transform_across_blocks(self):
+        # GF(2^19): dual_index(1) = 2^17 + 1 moves whole blocks of 2^16
+        # coefficients and permutes inside each
+        ctx = FieldContext(19)
+        assert ctx.dual_index(1) >> 16 and ctx.dual_index(1) & 0xFFFF
+        self.assert_matches_full_transform(random_function(np.random.default_rng(19), 19), ctx)
+
+    def test_dimension_limit(self, ctx5):
+        c = BooleanFunction.constant(5, 0)
+        c.m = 24  # force the guard: the join would have dimension 25
+        with pytest.raises(DimensionOutOfRange):
+            trace_join(c, ctx5)
+
+    def test_dimension_mismatch(self, ctx5):
+        with pytest.raises(DimensionMismatch):
+            trace_join(BooleanFunction.constant(7, 0), ctx5)
