@@ -74,6 +74,7 @@ from .tracerep import (
     format_trace_form,
     mattson_solomon,
     parse,
+    parse_form,
     to_trace_form,
     trace_forms,
 )

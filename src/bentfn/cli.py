@@ -46,7 +46,7 @@ from .errors import (
 )
 from .gf2m import MAX_DIMENSION, FieldContext
 from .spectrum import walsh
-from .tracerep import parse, to_trace_form, trace_forms
+from .tracerep import parse, parse_form, to_trace_form, trace_forms
 from .tvr import join, split
 from .worked_examples import run_all
 
@@ -159,38 +159,46 @@ def main(verbose):
         click.get_current_context().call_on_close(restore)
 
 
+def _parsed(expr: str, ctx: FieldContext, known: list) -> BooleanFunction:
+    """The table of ``expr`` over ``ctx``; its (table, form) pair goes to ``known``."""
+    form = parse_form(expr, ctx)
+    known.append((form.evaluate(ctx), form))
+    return known[-1][0]
+
+
 def _resolve_input(dim, expr, expr_pair, table, poly):
-    """Returns (function, component_ctx, descriptor); ``poly`` names component_ctx."""
+    """Returns (function, component_ctx, descriptor, known); ``poly`` names
+    component_ctx, and ``known`` holds the (table, form) pairs of its parsed components."""
     given = [x for x in (expr, expr_pair, table) if x]
     if len(given) != 1:
         raise click.UsageError("give exactly one of --expr, --expr-pair, --table")
+    known = []
     if table:
         fn = BooleanFunction.load(table)
         ctx = _field(fn.m if fn.m % 2 else fn.m - 1, poly)
-        return fn, ctx, {"kind": "table", "path": str(table)}
+        return fn, ctx, {"kind": "table", "path": str(table)}, known
     if expr_pair:
         if dim is None:
             raise click.UsageError("--dim is required with --expr-pair")
         if dim % 2 or dim < 4:
             raise click.UsageError("--expr-pair needs an even dimension of at least 4")
         ctx = _field(dim - 1, poly)
-        f0 = parse(expr_pair[0], ctx)
+        f0 = _parsed(expr_pair[0], ctx, known)
         second = expr_pair[1]
         if second.startswith("+"):
             f1 = f0 + parse(second[1:], ctx)
         else:
-            f1 = parse(second, ctx)
-        return join(f0, f1), ctx, {"kind": "expr-pair", "f0": expr_pair[0], "f1": expr_pair[1]}
+            f1 = _parsed(second, ctx, known)
+        return join(f0, f1), ctx, {"kind": "expr-pair", "f0": expr_pair[0], "f1": second}, known
     if dim is None:
         raise click.UsageError("--dim is required with --expr")
     if dim % 2 == 0 and poly:
         raise click.UsageError(f"--poly cannot name both GF(2^{dim}), where an even-dimensional "
                                f"--expr is parsed, and GF(2^{dim - 1}); use --expr-pair or --table")
     ctx = _field(dim, poly)
-    fn = parse(expr, ctx)
-    if dim % 2 == 0:
-        ctx = FieldContext(dim - 1)
-    return fn, ctx, {"kind": "expr", "expr": expr}
+    if dim % 2 == 0:  # split over GF(2^(dim - 1)), a field the parsed form does not describe
+        return parse(expr, ctx), FieldContext(dim - 1), {"kind": "expr", "expr": expr}, known
+    return _parsed(expr, ctx, known), ctx, {"kind": "expr", "expr": expr}, known
 
 
 @main.command()
@@ -208,7 +216,7 @@ def _resolve_input(dim, expr, expr_pair, table, poly):
 @click.option("--timestamps", is_flag=True, help="include a generation timestamp in JSON")
 def analyze(dim, expr, expr_pair, table, poly, as_json, full_spectrum, checks, timestamps):
     """Classify a function and report weight, degree, spectrum, and trace forms."""
-    fn, ctx, descriptor = _resolve_input(dim, expr, expr_pair, table, poly)
+    fn, ctx, descriptor, known = _resolve_input(dim, expr, expr_pair, table, poly)
     if checks and fn.m % 2:
         raise OddDimension(f"--checks needs an even-dimensional function, got dimension {fn.m}")
     spectrum = walsh(fn)
@@ -228,13 +236,13 @@ def analyze(dim, expr, expr_pair, table, poly, as_json, full_spectrum, checks, t
     if fn.m % 2 == 0:
         flags = condition_flags(fn, ctx)
         payload["condition_flags"] = flags.as_dict()
-        forms = trace_forms(split(fn), ctx)
+        forms = trace_forms(split(fn), ctx, known)
         payload["components"] = {
             "f0": forms[0].as_dict(ctx),
             "f1": forms[1].as_dict(ctx),
         }
     else:
-        payload["trace_form"] = to_trace_form(fn, ctx).as_dict(ctx)
+        payload["trace_form"] = trace_forms([fn], ctx, known)[0].as_dict(ctx)
     suite = None
     if checks:
         suite = verify_function(fn, ctx)
@@ -368,6 +376,7 @@ def sixpack(dim, expr, table, normalize, poly, out, prefix, as_json, timestamps)
     """Construct the six bent functions grown from a qualifying near-bent seed."""
     if (expr is None) == (table is None):
         raise click.UsageError("give exactly one of --expr, --table")
+    known = []
     if table:
         f0 = BooleanFunction.load(table)
         ctx = _field(f0.m, poly)
@@ -375,15 +384,17 @@ def sixpack(dim, expr, table, normalize, poly, out, prefix, as_json, timestamps)
         if dim is None:
             raise click.UsageError("--dim is required with --expr")
         ctx = _field(dim, poly)
-        f0 = parse(expr, ctx)
+        f0 = _parsed(expr, ctx, known)
     if normalize:
         f0 = normalize_near_bent(f0, ctx)
+        if known:  # f0's form, derived; the parsed table need not live through six_pack
+            known = [(f0, trace_forms([f0], ctx, known)[0])]
     pack = six_pack(f0, ctx)
     labeled = pack.labeled()
     components = []
     for fn in labeled.values():
         components += split(fn)
-    seed_form, *forms = [form.as_dict(ctx) for form in trace_forms([f0, *components], ctx)]
+    seed_form, *forms = [form.as_dict(ctx) for form in trace_forms([f0, *components], ctx, known)]
     files = {Path(out) / f"{prefix}_{label}.bf": fn for label, fn in labeled.items()}
     _save_all(files)
     entries = {}
@@ -449,7 +460,7 @@ def _classes_text(classes):
 @click.option("--timestamps", is_flag=True)
 def verify(dim, expr_pair, table, poly, as_json, timestamps):
     """Run every applicable checker on a bent function; exit 4 on any failure."""
-    fn, ctx, descriptor = _resolve_input(dim, None, expr_pair, table, poly)
+    fn, ctx, descriptor = _resolve_input(dim, None, expr_pair, table, poly)[:3]
     if fn.m % 2:
         raise click.UsageError("verification needs an even-dimensional function")
     suite = verify_function(fn, ctx)

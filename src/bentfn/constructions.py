@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, trace_function, trace_polynomial
+from .boolfn import BooleanFunction, trace_function
 from .errors import (
     BentVerificationFailed,
     ConditionTNotMet,
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .gf2m import FieldContext, coset_leader
 from .spectrum import Classification, dual, trace_join, walsh
+from .tracerep import TraceForm
 from .tvr import join, linear_form, split
 
 
@@ -160,10 +161,17 @@ class SixPack:
         either preserves bentness and the trace condition up to its constant.
         """
         if modulo_structural_forms:
-            translates = _structural_translates(self.ctx)
+            # of (0, 0), (0, 1) and (p, 0), tr(p) = 1, adding nu flips only (0, 1) and adding
+            # tr(x) only (p, 0): the key is the class member agreeing with (0, 0) at both
+            forms = [linear_form(self.ctx, 0, 1).table, linear_form(self.ctx, 1, 0).table]
+            points = [self.ctx.order, int(np.argmax(self.ctx.trace_table))]
 
             def key(fn: BooleanFunction) -> bytes:
-                return min((fn.table ^ s).tobytes() for s in translates)
+                table = fn.table.copy()
+                for form, point in zip(forms, points):
+                    if table[point] != table[0]:
+                        table ^= form
+                return table.tobytes()
 
         else:
 
@@ -214,13 +222,6 @@ class VerificationSuite:
             "checks": [report.as_dict() for report in self.reports],
             "skipped": [{"name": s.name, "reason": s.reason} for s in self.skipped],
         }
-
-
-def _structural_translates(ctx: FieldContext) -> list[np.ndarray]:
-    zero = np.zeros(2 * ctx.order, dtype=np.uint8)
-    nu_form = linear_form(ctx, 0, 1).table
-    tr_form = linear_form(ctx, 1, 0).table
-    return [zero, nu_form, tr_form, nu_form ^ tr_form]
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +509,8 @@ def kasami_welch(t: int, s: int, ctx: FieldContext | None = None) -> BooleanFunc
         ctx = FieldContext(2 * t - 1)
     elif ctx.m != 2 * t - 1:
         raise DimensionMismatch(f"ctx.m={ctx.m} does not match 2t-1={2 * t - 1}")
-    return _join_with_trace(
-        trace_polynomial(ctx, [d]), ctx, f"joined function for t={t}, s={s} failed the bent check"
-    )
+    f0 = TraceForm(ctx.m, 0, {coset_leader(ctx.m, d): 1}).evaluate(ctx)
+    return _join_with_trace(f0, ctx, f"joined function for t={t}, s={s} failed the bent check")
 
 
 def quadratic_family(t: int, J, ctx: FieldContext | None = None) -> BooleanFunction:
@@ -544,7 +544,7 @@ def quadratic_family(t: int, J, ctx: FieldContext | None = None) -> BooleanFunct
             f"exponents {exponents} are not coset-distinct mod 2^{m}-1 "
             f"(leaders {leaders}); conjugate terms cancel"
         )
-    f0 = trace_polynomial(ctx, exponents)
+    f0 = TraceForm(m, 0, dict.fromkeys(leaders, 1)).evaluate(ctx)
     spectrum = walsh(f0)
     if spectrum.classification is not Classification.NEAR_BENT:
         raise NotNearBent(
@@ -599,8 +599,8 @@ def pseudo_dual_collision_demo(ctx: FieldContext | None = None) -> CollisionRepo
     elif ctx.m != 7:
         raise DimensionMismatch(f"the collision pair lives over GF(2^7), got m={ctx.m}")
     first, second = (
-        trace_join(trace_polynomial(ctx, exponents), ctx)
-        for exponents in (_COLLISION_FIRST, _COLLISION_SECOND)
+        trace_join(TraceForm(7, 0, dict.fromkeys(leaders, 1)).evaluate(ctx), ctx)
+        for leaders in (_COLLISION_FIRST, _COLLISION_SECOND)
     )
     items = [
         CheckItem("first-bent", walsh(first).classification is Classification.BENT),

@@ -1,9 +1,10 @@
 """Trace-notation expressions and canonical trace forms.
 
-``parse`` evaluates expressions like ``tr(x^7+x^13)+1`` into truth tables.
-``to_trace_form`` goes the other way: it interpolates the function, keeps one
-subfield coefficient per cyclotomic coset leader, and returns a canonical
-:class:`TraceForm`.  Two interpolations give the same leader coefficients:
+``parse_form`` reads expressions like ``tr(x^7+x^13)+1`` straight into their
+canonical :class:`TraceForm`, which ``parse`` evaluates into a truth table.
+Interpolation serves tables only: ``to_trace_form`` interpolates the function,
+keeps one subfield coefficient per cyclotomic coset leader, and returns the
+canonical form.  Two interpolations give the same leader coefficients:
 
 - leader summation (``mattson_solomon``) computes only the chosen leader
   coefficients of the interpolation on the nonzero elements, n = 2^m - 1, at
@@ -46,7 +47,8 @@ Forms are compared coset-wise, so listings that use a non-leader exponent
 of a six-pack, which the construction join(f0, f0 + tr + xi) keeps in few
 classes modulo {0, 1, tr, tr + 1}.  It interpolates once per class and derives
 the other members' forms exactly: adding tr + b changes only the constant and
-the coefficient of x.
+the coefficient of x; a class that holds a parsed expression is not
+interpolated at all.
 """
 
 from __future__ import annotations
@@ -57,14 +59,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, trace_polynomial
+from .boolfn import BooleanFunction
 from .errors import (
     DimensionMismatch,
     ExponentOutOfRange,
     NotBooleanConsistent,
     ParseError,
 )
-from .gf2m import _BLOCK, FieldContext, _leader_sizes, leaders_and_sizes
+from .gf2m import _BLOCK, FieldContext, _leader_sizes, coset_leader, coset_size, leaders_and_sizes
 
 logger = logging.getLogger(__name__)
 
@@ -163,25 +165,25 @@ class TraceForm:
             raise DimensionMismatch(f"ctx.m={ctx.m} does not match form dimension {self.m}")
         n = ctx.order - 1
         leaders = list(self.terms)
-        sizes = _leader_sizes(self.m, leaders)
-        # c lies in GF(2^s) iff c = 0 or c^(2^s) = c, i.e. log c * 2^s = log c mod n
         coeffs = np.fromiter(self.terms.values(), dtype=np.int64, count=len(leaders))
-        logs = ctx.log_table[coeffs].astype(np.int64)
+        sizes = [coset_size(self.m, leader) for leader in leaders]
+        # log 1 = 0, so a binary form (a parsed one, say) needs no log table
+        logs = coeffs - 1 if (coeffs == 1).all() else ctx.log_table[coeffs].astype(np.int64)
+        # c lies in GF(2^s) iff c = 0 or c^(2^s) = c, i.e. log c * 2^s = log c mod n
         powers = np.left_shift(1, np.array(sizes, dtype=np.int64))
         outside = np.flatnonzero((coeffs != 0) & (logs * powers % n != logs))
         if outside.size:
             i = outside[0]
             raise NotBooleanConsistent(f"coefficient {coeffs[i]} of x^{leaders[i]} "
                                        f"is outside GF(2^{sizes[i]})")
-        terms = [(leader, int(ctx.log_table[coeff]), size)
-                 for leader, coeff, size in zip(leaders, self.terms.values(), sizes) if coeff]
-        field_sum = np.zeros(n, dtype=np.int32)
-        bits = np.zeros(n, dtype=np.int32)
-        # in blocks of exponents, so the int64 temporaries stay small
+        terms = [(leader, log_c, size) for leader, coeff, log_c, size
+                 in zip(leaders, coeffs.tolist(), logs.tolist(), sizes) if coeff]
+        table = np.full(ctx.order, self.constant, dtype=np.uint8)
+        # in blocks of exponents, so every temporary stays block-sized
         for start in range(0, n, _BLOCK):
             exps = np.arange(start, min(start + _BLOCK, n), dtype=np.int64)
-            block_sum = field_sum[start : start + _BLOCK]
-            block_bits = bits[start : start + _BLOCK]
+            block_sum = np.zeros(exps.size, dtype=np.int32)
+            block_bits = np.zeros(exps.size, dtype=np.int32)
             for leader, log_c, size in terms:
                 logs = exps * leader
                 logs += log_c
@@ -191,11 +193,8 @@ class TraceForm:
                 else:
                     for k in range(size):
                         block_bits ^= ctx.antilog_table[(logs << k) % n]
-        bits ^= ctx.trace_table[field_sum]
-        bits ^= self.constant ^ self.top_coeff
-        table = np.zeros(ctx.order, dtype=np.uint8)
-        table[0] = self.constant
-        table[ctx.antilog_table] = bits
+            block_bits ^= ctx.trace_table[block_sum] ^ (self.constant ^ self.top_coeff)
+            table[ctx.antilog_table[start : start + _BLOCK]] = block_bits
         return BooleanFunction(self.m, table)
 
     def as_dict(self, ctx: FieldContext | None = None) -> dict:
@@ -353,7 +352,7 @@ def to_trace_form(f: BooleanFunction, ctx: FieldContext) -> TraceForm:
     return form
 
 
-def trace_forms(fns, ctx: FieldContext) -> list[TraceForm]:
+def trace_forms(fns, ctx: FieldContext, known=()) -> list[TraceForm]:
     """``to_trace_form`` of each table, interpolating once per class modulo
     {0, 1, tr, tr + 1}.
 
@@ -363,29 +362,34 @@ def trace_forms(fns, ctx: FieldContext) -> list[TraceForm]:
     of x, so it interpolates with coefficient 1 on leader 1 and 0 elsewhere:
     T's form is R's with the constant XOR b and the coefficient of x XOR a.
     The top coefficient stays R's, since |tr| = 2^(m-1) is even.
+
+    ``known`` holds (table, form) pairs the caller already has, such as a
+    parsed expression and its table over ``ctx``.  Translated the same way, a
+    known form gives its class's R form, so that class is not interpolated.
     """
     trace = ctx.trace_table
     p = int(np.argmax(trace))
-    classes = {}
-    out = []
-    for f in fns:
+    classes, forms = {}, []
+    for f, form in [*known, *((f, None) for f in fns)]:
         if f.m != ctx.m:
             raise DimensionMismatch(f"f.m={f.m} does not match ctx.m={ctx.m}")
         b = f[0]
         a = f[p] ^ b
         rep = f.table ^ (a * trace) ^ b
         key = rep.tobytes()
-        if key not in classes:
-            classes[key] = to_trace_form(BooleanFunction(ctx.m, rep), ctx)
-        form = classes[key]
-        if a or b:
+        if form is None:
+            if key not in classes:
+                classes[key] = to_trace_form(BooleanFunction(ctx.m, rep), ctx)
+            form = classes[key]
+        if a or b:  # R's form from T's, or T's from R's
             terms = dict(form.terms)
             x_coeff = terms.pop(1, 0) ^ a
             if x_coeff:
                 terms[1] = x_coeff
             form = TraceForm(ctx.m, form.constant ^ b, terms, form.top_coeff)
-        out.append(form)
-    return out
+        classes.setdefault(key, form)  # R's form, for a known pair
+        forms.append(form)
+    return forms[len(known):]
 
 
 def format_trace_form(tf: TraceForm, ctx: FieldContext | None = None) -> str:
@@ -433,115 +437,95 @@ def _format(tf: TraceForm, ctx: FieldContext | None, leaders: list[int], sizes: 
 # expression parsing
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, char: str):
-        if self.peek() != char:
-            raise ParseError(f"expected {char!r}", self.pos)
-        self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def read_int(self) -> int:
-        start = self.pos
-        negative = False
-        if self.peek() == "-":
-            negative = True
-            self.pos += 1
-        digits = ""
-        while self.peek().isdigit():
-            digits += self.text[self.pos]
-            self.pos += 1
-        if not digits:
-            raise ParseError("expected an integer", start)
-        value = int(digits)
-        if negative:
-            raise ExponentOutOfRange(f"exponent -{digits} is negative", start)
-        return value
-
-
-def _read_monomial_exponent(scanner: _Scanner) -> int:
-    # caller consumed 'x'; an optional ^<int> follows
-    scanner.skip_ws()
-    if scanner.peek() == "^":
-        scanner.pos += 1
-        scanner.skip_ws()
-        return scanner.read_int()
-    return 1
-
-
-def parse(expr: str, ctx: FieldContext) -> BooleanFunction:
-    """Evaluate a trace expression to a truth table.
+def parse_form(expr: str, ctx: FieldContext) -> TraceForm:
+    """The canonical trace form of a trace expression, read without evaluating it.
 
     Grammar: '+'-separated blocks, each one of
       tr( <'+'-separated x, x^e, 1 terms> )   a trace of a binary polynomial
       0 | 1                                   a constant
-      x^e with x^e in {0, 1} pointwise        e.g. the all-but-zero indicator
-    Exponents are decimal and reduce mod 2^m - 1 on nonzero points.
+      x^e with x^e in {0, 1} pointwise        x^0 = 1, or x^(k n), n = 2^m - 1
+    Exponents are decimal.  tr(x^e) is tr(x^l) for the coset leader l of e mod
+    n, and tr_m(x^l) = (m/s) tr_s(x^l) for a coset of size s, so the term stays
+    only when m/s is odd; terms cancel in pairs.  In a trace, x^0 = 1 adds
+    tr(1) = m mod 2 to the constant and x^(k n), 1 but at 0, to the top
+    coefficient.  The form depends on m only, its table on ctx.
     """
-    scanner = _Scanner(expr)
-    table = np.zeros(ctx.order, dtype=np.uint8)
-    exponents, constant = [], 0  # of every tr(...) block: tr is additive, so one trace
-    if scanner.at_end():
+    m, n = ctx.m, ctx.order - 1
+    pos, leaders, bits = 0, set(), [0, 0]  # bits: the constant, the top coefficient
+
+    def skip() -> str:  # past whitespace; the next character, "" at the end
+        nonlocal pos
+        while expr[pos : pos + 1].isspace():
+            pos += 1
+        return expr[pos : pos + 1]
+
+    def expect(char: str):
+        nonlocal pos
+        if skip() != char:
+            raise ParseError(f"expected {char!r}", pos)
+        pos += 1
+
+    def exponent() -> int:  # after an 'x': an optional ^<int>
+        nonlocal pos
+        if skip() != "^":
+            return 1
+        pos += 1
+        skip()
+        start = pos
+        first = pos = pos + expr.startswith("-", pos)
+        while expr[pos : pos + 1].isdigit():
+            pos += 1
+        if pos == first:
+            raise ParseError("expected an integer", start)
+        e = int(expr[first:pos])
+        if first > start:
+            raise ExponentOutOfRange(f"exponent -{expr[first:pos]} is negative", start)
+        return e
+
+    if not skip():
         raise ParseError("empty expression", 0)
     while True:
-        scanner.skip_ws()
-        start = scanner.pos
-        ch = scanner.peek()
-        if expr.startswith("tr", scanner.pos):
-            scanner.pos += 2
-            scanner.skip_ws()
-            scanner.expect("(")
+        char = skip()
+        start = pos
+        if expr.startswith("tr", pos):
+            pos += 2
+            expect("(")
             while True:
-                scanner.skip_ws()
-                term = scanner.peek()
-                if term == "x":
-                    scanner.pos += 1
-                    exponents.append(_read_monomial_exponent(scanner))
-                elif term == "1":
-                    scanner.pos += 1
-                    constant ^= 1
-                else:
-                    raise ParseError("expected 'x', 'x^e' or '1' inside tr(...)", scanner.pos)
-                scanner.skip_ws()
-                if scanner.peek() == "+":
-                    scanner.pos += 1
-                    continue
-                scanner.expect(")")
-                break
-        elif ch in ("0", "1"):
-            scanner.pos += 1
-            if scanner.peek().isdigit():
+                term = skip()
+                if term not in ("x", "1"):
+                    raise ParseError("expected 'x', 'x^e' or '1' inside tr(...)", pos)
+                pos += 1
+                e = exponent() if term == "x" else 0
+                if e % n == 0:  # x^e is 1, or 1 but at 0: the trace is m mod 2 times that
+                    bits[e > 0] ^= m & 1
+                elif m // coset_size(m, leader := coset_leader(m, e)) % 2:
+                    leaders ^= {leader}
+                if skip() != "+":
+                    break
+                pos += 1
+            expect(")")
+        elif char in ("0", "1"):
+            pos += 1
+            if expr[pos : pos + 1].isdigit():
                 raise ParseError("constants must be single bits", start)
-            if ch == "1":
-                table ^= 1
-        elif ch == "x":
-            scanner.pos += 1
-            e = _read_monomial_exponent(scanner)
-            values = ctx.power_table(e)
-            if int(values.max()) > 1:
-                raise ParseError(
-                    f"bare monomial x^{e} is not Boolean-valued on this field", start
-                )
-            table ^= values.astype(np.uint8)
+            bits[0] ^= int(char)
+        elif char == "x":
+            pos += 1
+            e = exponent()
+            if e % n:
+                raise ParseError(f"bare monomial x^{e} is not Boolean-valued on this field", start)
+            bits[e > 0] ^= 1
         else:
-            raise ParseError("expected 'tr(', 'x^e', '0' or '1'", scanner.pos)
-        if scanner.at_end():
+            raise ParseError("expected 'tr(', 'x^e', '0' or '1'", pos)
+        if not skip():
             break
-        scanner.skip_ws()
-        scanner.expect("+")
-        if scanner.at_end():
-            raise ParseError("trailing '+'", scanner.pos)
-    return BooleanFunction(ctx.m, table ^ trace_polynomial(ctx, exponents, constant).table)
+        expect("+")
+        if not skip():
+            raise ParseError("trailing '+'", pos)
+    return TraceForm(m, bits[0], dict.fromkeys(sorted(leaders), 1), bits[1])
+
+
+def parse(expr: str, ctx: FieldContext) -> BooleanFunction:
+    """Evaluate a trace expression to a truth table: parsing builds the
+    canonical form (``parse_form``), which is evaluated, never interpolated."""
+    return parse_form(expr, ctx).evaluate(ctx)

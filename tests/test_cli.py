@@ -13,7 +13,7 @@ from bentfn.constructions import _six_pack_of, kasami_welch, normalize_near_bent
 from bentfn.errors import BentVerificationFailed
 from bentfn.gf2m import FieldContext
 from bentfn.tracerep import parse, to_trace_form
-from bentfn.tvr import split
+from bentfn.tvr import join, split
 
 
 @pytest.fixture()
@@ -45,10 +45,9 @@ class TestVerbose:
         assert quiet.exit_code == loud.exit_code == 0
         assert loud.stdout == quiet.stdout
         assert quiet.stderr == ""
-        # both components are one class modulo {0, 1, tr, tr + 1}: one interpolation
-        assert re.fullmatch(r"bentfn\.gf2m: built GF\(2\^7\) with 0x83 in \d+\.\d{4} s\n"
-                            r"bentfn\.tracerep: interpolated over GF\(2\^7\) by leader "
-                            r"summation in \d+\.\d{4} s\n", loud.stderr)
+        # both components are in the class of the parsed f0: nothing is interpolated
+        assert re.fullmatch(r"bentfn\.gf2m: built GF\(2\^7\) with 0x83 in \d+\.\d{4} s\n",
+                            loud.stderr)
 
     @pytest.mark.parametrize("m, algorithm", [(7, "leader summation"),
                                               (11, "leader summation to degree 2"),
@@ -56,16 +55,15 @@ class TestVerbose:
     def test_logs_one_interpolation_per_class(self, runner, tmp_path, m, algorithm):
         # the six-pack of a quadratic seed is quadratic throughout; that of f0 of
         # the dual in a Kasami-Welch six-pack has degree 5, too many leaders to sum
-        # at m = 13
+        # at m = 13.  The seed is a table, so its class is interpolated too
         ctx = FieldContext(m)
         if algorithm == "additive FFT":
             f0, _ = split(_six_pack_of(kasami_welch(7, 4, ctx), ctx).dual)
-            f0.save(tmp_path / "seed.bf")
-            source = ["--table", str(tmp_path / "seed.bf")]
         else:
             f0 = parse("tr(x^3+x^5)+1", ctx)
-            source = ["--dim", str(m), "--expr", "tr(x^3+x^5)+1"]
-        args = ["sixpack", *source, "--normalize", "--out", str(tmp_path)]
+        f0.save(tmp_path / "seed.bf")
+        args = ["sixpack", "--table", str(tmp_path / "seed.bf"), "--normalize", "--out",
+                str(tmp_path)]
         quiet = invoke(runner, args)
         loud = invoke(runner, ["-v", *args])
         assert quiet.exit_code == loud.exit_code == 0
@@ -204,10 +202,43 @@ class TestAnalyze:
         assert f"dimension {m}" in result.stderr
 
     @pytest.mark.parametrize("suffix", ["+tr(x)", "+tr(x)+1"])
-    def test_trace_condition_pair_interpolates_once(self, runner, trace_form_calls, suffix):
-        result = invoke(runner, ["analyze", "--dim", "8", "--expr-pair", "tr(x^13)", suffix])
+    def test_trace_condition_pair_interpolates_once(self, runner, tmp_path, ctx7,
+                                                    trace_form_calls, suffix):
+        f0 = parse("tr(x^13)", ctx7)
+        join(f0, f0 + parse(suffix[1:], ctx7)).save(tmp_path / "pair.bf")
+        result = invoke(runner, ["analyze", "--table", str(tmp_path / "pair.bf")])
         assert result.exit_code == 0
         assert len(trace_form_calls) == 1
+
+    @pytest.mark.parametrize("suffix", ["+tr(x)", "+tr(x)+1"])
+    def test_parsed_trace_condition_pair_interpolates_nothing(self, runner, tmp_path, ctx7,
+                                                              trace_form_calls, suffix):
+        args = ["analyze", "--json", "--dim", "8", "--expr-pair", "tr(x^3+x^9)", suffix]
+        parsed = invoke(runner, args)
+        assert parsed.exit_code == 0 and trace_form_calls == []
+        f0 = parse("tr(x^3+x^9)", ctx7)
+        join(f0, f0 + parse(suffix[1:], ctx7)).save(tmp_path / "pair.bf")
+        read = json.loads(invoke(runner, ["analyze", "--json", "--table",
+                                          str(tmp_path / "pair.bf")]).output)
+        assert len(trace_form_calls) == 1
+        assert json.loads(parsed.output)["components"] == read["components"]
+
+    @pytest.mark.parametrize("dim, calls", [(9, 0), (8, 2)])
+    def test_parsed_expression_interpolates_only_at_even_dimension(
+            self, runner, trace_form_calls, dim, calls):
+        # at even dim the expression is parsed over GF(2^dim), and its form
+        # says nothing about the components over GF(2^(dim - 1))
+        result = invoke(runner, ["analyze", "--json", "--dim", str(dim), "--expr", "tr(x^3)"])
+        assert result.exit_code == 0
+        assert len(trace_form_calls) == calls
+        payload = json.loads(result.output)
+        fn = BooleanFunction.from_hex(dim, payload["table_hex"])
+        ctx = FieldContext(dim if dim % 2 else dim - 1)
+        if dim % 2:
+            assert payload["trace_form"] == to_trace_form(fn, ctx).as_dict(ctx)
+        else:
+            for half, form in zip(split(fn), payload["components"].values()):
+                assert form == to_trace_form(half, ctx).as_dict(ctx)
 
     def test_checks_flag(self, runner):
         result = invoke(
@@ -341,19 +372,56 @@ class TestSixpack:
             assert entry["f0_trace_form"] == to_trace_form(f0, ctx7).as_dict(ctx7), label
             assert entry["f1_trace_form"] == to_trace_form(f1, ctx7).as_dict(ctx7), label
 
-    def test_one_interpolation_per_class(self, runner, tmp_path, ctx7, trace_form_calls):
-        # classes modulo adding tr and 1, among the seed and the 12 components
-        result = invoke(
-            runner,
-            ["sixpack", "--dim", "7", "--expr", "tr(x^3+x^9)", "--out", str(tmp_path), "--json"],
-        )
-        assert result.exit_code == 0
-        tables = [parse("tr(x^3+x^9)", ctx7)]
-        for entry in json.loads(result.output)["functions"].values():
+    @staticmethod
+    def classes(payload, seed, ctx):
+        """Classes modulo adding tr and 1, among the seed and the 12 components."""
+        tables = [seed]
+        for entry in payload["functions"].values():
             tables += split(BooleanFunction.load(entry["file"]))
-        tr = ctx7.trace_table
-        classes = {min((f.table ^ s).tobytes() for s in (0, 1, tr, tr ^ 1)) for f in tables}
+        tr = ctx.trace_table
+        return {min((f.table ^ s).tobytes() for s in (0, 1, tr, tr ^ 1)) for f in tables}
+
+    def test_one_interpolation_per_class(self, runner, tmp_path, ctx7, trace_form_calls):
+        seed = parse("tr(x^3+x^9)", ctx7)
+        seed.save(tmp_path / "seed.bf")
+        result = invoke(runner, ["sixpack", "--table", str(tmp_path / "seed.bf"), "--out",
+                                 str(tmp_path), "--json"])
+        assert result.exit_code == 0
+        classes = self.classes(json.loads(result.output), seed, ctx7)
         assert len(trace_form_calls) == len(classes) <= 2
+
+    @pytest.mark.parametrize("m, expr", [(7, "tr(x^3+x^9)"), (11, "tr(x^3)")])
+    @pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+    def test_parsed_seed_class_is_not_interpolated(self, runner, tmp_path, trace_form_calls,
+                                                   m, expr, normalize):
+        # the seed's class comes from its parsed form (normalizing adds tr and 1
+        # at most), so only the other class is interpolated; from a table, both are
+        ctx = FieldContext(m)
+        seed = parse(expr, ctx)
+        args = ["--out", str(tmp_path), "--json", *normalize]
+        result = invoke(runner, ["sixpack", "--dim", str(m), "--expr", expr, *args])
+        assert result.exit_code == 0
+        assert len(self.classes(json.loads(result.output), seed, ctx)) == 2
+        assert len(trace_form_calls) == 1
+        seed.save(tmp_path / "seed.bf")
+        read = invoke(runner, ["sixpack", "--table", str(tmp_path / "seed.bf"), *args])
+        assert len(trace_form_calls) == 3
+        assert read.output == result.output
+
+    def test_parsed_form_serves_only_its_own_field(self, runner, tmp_path, ctx7_alt):
+        # over another primitive polynomial, one expression gives another table,
+        # and every printed form is that of the table written over that field
+        args = ["sixpack", "--dim", "7", "--expr", "tr(x^3+x^9)", "--out", str(tmp_path), "--json"]
+        default = json.loads(invoke(runner, args).output)
+        alt = json.loads(invoke(runner, [*args, "--poly", "0x89"]).output)
+        seed = parse("tr(x^3+x^9)", ctx7_alt)
+        assert seed != parse("tr(x^3+x^9)", FieldContext(7))
+        assert alt["seed_trace_form"] == to_trace_form(seed, ctx7_alt).as_dict(ctx7_alt)
+        for label, entry in alt["functions"].items():
+            f0, f1 = split(BooleanFunction.load(entry["file"]))
+            assert entry["f0_trace_form"] == to_trace_form(f0, ctx7_alt).as_dict(ctx7_alt), label
+            assert entry["f1_trace_form"] == to_trace_form(f1, ctx7_alt).as_dict(ctx7_alt), label
+        assert alt["functions"] != default["functions"]
 
     def test_write_failure_leaves_no_file(self, runner, tmp_path):
         (tmp_path / "sixpack_dual.bf").mkdir()

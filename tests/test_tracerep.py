@@ -1,4 +1,5 @@
 import logging
+import random
 import re
 import tracemalloc
 
@@ -9,12 +10,13 @@ from bentfn import tracerep
 from bentfn.boolfn import BooleanFunction, trace_function, trace_polynomial
 from bentfn.constructions import _six_pack_of, kasami_welch, six_pack
 from bentfn.errors import DimensionMismatch, ExponentOutOfRange, NotBooleanConsistent, ParseError
-from bentfn.gf2m import FieldContext, cyclotomic_cosets
+from bentfn.gf2m import FieldContext, coset_size, cyclotomic_cosets
 from bentfn.tracerep import (
     TraceForm,
     format_trace_form,
     mattson_solomon,
     parse,
+    parse_form,
     to_trace_form,
     trace_forms,
 )
@@ -87,6 +89,80 @@ class TestParse:
     def test_exponent_reduction(self, ctx7):
         # x^e = x^(e mod 127) on nonzero points and 0^e = 0 for e > 0
         assert parse("tr(x^130)", ctx7) == parse("tr(x^3)", ctx7)
+
+
+def random_expression(rng: random.Random, ctx) -> tuple[str, BooleanFunction]:
+    """A random trace expression over ctx and its table, built block by block
+    from ``trace_polynomial`` and ``power_table`` (0^0 = 1).
+
+    Inner terms mix 1 and x^0, multiples of n = 2^m - 1, exponents above n,
+    non-leaders, short cosets (at even m, with m/s odd and even) and repeats
+    of earlier terms; blocks are tr(...), 0, 1, x^0 and x^(k n)."""
+    m, n = ctx.m, ctx.order - 1
+    short = [e for e in range(1, n) if coset_size(m, e) < m]
+
+    def inner(terms):
+        kind = rng.choice(["one", "zero", "multiple", "above", "conjugate", "short", "repeat"])
+        if kind == "repeat" and terms:
+            return rng.choice(terms)
+        if kind == "one":
+            return "1", 0
+        e = {"zero": 0, "multiple": n * rng.randint(1, 3), "above": rng.randrange(n, 4 * n),
+             "short": rng.choice(short or [1])}.get(kind, rng.randrange(1, n) << rng.randrange(m))
+        return rng.choice([f"x^{e}", f" x ^ {e} "] + (["x"] if e == 1 else [])), e
+
+    parts, table = [], np.zeros(ctx.order, dtype=np.uint8)
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["tr", "tr", "tr", "constant", "monomial"])
+        if kind == "tr":
+            terms = []
+            for _ in range(rng.randint(1, 5)):
+                terms.append(inner(terms))
+            parts.append("tr(" + "+".join(text for text, _ in terms) + ")")
+            exponents = [e for text, e in terms if text != "1"]
+            table ^= trace_polynomial(ctx, exponents, sum(text == "1" for text, _ in terms)).table
+        elif kind == "constant":
+            bit = rng.randrange(2)
+            parts.append(str(bit))
+            table ^= bit
+        else:
+            e = rng.choice([0, n * rng.randint(1, 3)])
+            parts.append(f"x^{e}")
+            table ^= ctx.power_table(e).astype(np.uint8)
+    return rng.choice(["+", " + "]).join(parts), BooleanFunction(m, table)
+
+
+class TestParseForm:
+    @pytest.mark.parametrize("m", range(2, 14))
+    def test_form_is_the_interpolated_form_of_the_table(self, m):
+        ctx = FieldContext(m)
+        rng = random.Random(m)
+        for _ in range(120):
+            expr, oracle = random_expression(rng, ctx)
+            form = parse_form(expr, ctx)
+            assert form.evaluate(ctx) == oracle, expr
+            assert form == to_trace_form(parse(expr, ctx), ctx), expr
+
+    def test_short_cosets_at_even_m(self):
+        # GF(2^6): 9 has a coset of size 3 (m/s = 2), 21 one of size 2 (m/s = 3)
+        ctx = FieldContext(6)
+        assert parse_form("tr(x^9)", ctx) == TraceForm(6, 0, {})
+        assert parse_form("tr(x^21+x^42)", ctx) == TraceForm(6, 0, {})
+        assert parse_form("tr(x^42)", ctx) == TraceForm(6, 0, {21: 1})
+        assert parse("tr(x^9)", ctx) == BooleanFunction.constant(6, 0)
+
+    def test_constants_and_the_top_coefficient(self, ctx5):
+        assert parse_form("tr(1)", ctx5) == parse_form("tr(x^0)", ctx5) == TraceForm(5, 1, {})
+        assert parse_form("tr(1)", FieldContext(4)) == TraceForm(4, 0, {})
+        assert parse_form("tr(x^31)", ctx5) == parse_form("x^62", ctx5) == TraceForm(5, 0, {}, 1)
+        assert parse_form("tr(x^15)", FieldContext(4)) == TraceForm(4, 0, {})
+        assert parse_form("x^0+1+tr(x^3+x^96)", ctx5) == TraceForm(5, 0, {})
+        assert parse_form("tr(x^12+x^3+x)+1", ctx5).terms == {1: 1}
+
+    @pytest.mark.parametrize("expr", ["x^2", "x^32", "x^-0"])
+    def test_bare_monomial_must_be_boolean(self, ctx5, expr):
+        with pytest.raises(ParseError):
+            parse_form(expr, ctx5)
 
 
 class TestMattsonSolomon:
@@ -594,6 +670,18 @@ class TestTraceForms:
         assert [str(form) for form in forms] == [
             "tr(x^3)", "1+tr(x^5+x^9)", "tr(x+x^3)", "tr(x^5+x^9)", "1+tr(x+x^3)"]
 
+    def test_known_pair_stands_for_its_class(self, ctx7, trace_form_calls):
+        # the known table is a translate of f, so only g's class is interpolated
+        tr = trace_function(ctx7)
+        f, g = trace_polynomial(ctx7, [3]), trace_polynomial(ctx7, [5, 9])
+        known = [(f + tr + 1, parse_form("tr(x^3+x)+1", ctx7))]
+        forms = trace_forms([f, g + 1, f + tr, g, f + 1], ctx7, known)
+        assert len(trace_form_calls) == 1
+        assert [str(form) for form in forms] == [
+            "tr(x^3)", "1+tr(x^5+x^9)", "tr(x+x^3)", "tr(x^5+x^9)", "1+tr(x^3)"]
+
     def test_dimension_mismatch(self, ctx5, ctx7):
         with pytest.raises(DimensionMismatch):
             trace_forms([trace_function(ctx5)], ctx7)
+        with pytest.raises(DimensionMismatch):
+            trace_forms([], ctx7, [(trace_function(ctx5), parse_form("tr(x)", ctx5))])
