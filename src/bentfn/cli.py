@@ -46,7 +46,7 @@ from .errors import (
 )
 from .gf2m import MAX_DIMENSION, FieldContext
 from .spectrum import walsh
-from .tracerep import parse, parse_form, to_trace_form, trace_forms
+from .tracerep import parse, parse_form, trace_forms
 from .tvr import join, split
 from .worked_examples import run_all
 
@@ -286,10 +286,14 @@ def generate():
     """Generate a bent function from a parametric family."""
 
 
-def _emit_generated(F, ctx, family, params, out, as_json, timestamps, filename):
+def _emit_generated(F, ctx, family, params, out, as_json, timestamps, filename, seed):
+    """Saves F and reports it; f0's form comes from the seed's expression text,
+    and is interpolated only if f0 is not in that text's class."""
     path = Path(out) / filename
     F.save(path)
     f0, _ = split(F)
+    known = []
+    _parsed(seed, ctx, known)
     payload = {
         "family": family,
         **params,
@@ -298,7 +302,7 @@ def _emit_generated(F, ctx, family, params, out, as_json, timestamps, filename):
         "classification": walsh(F).classification.value,
         "weight": F.weight(),
         "degree": F.degree(),
-        "f0_trace_form": to_trace_form(f0, ctx).as_dict(ctx),
+        "f0_trace_form": trace_forms([f0], ctx, known)[0].as_dict(ctx),
         "table_hex": F.table_hex(),
         "file": str(path),
     }
@@ -330,7 +334,7 @@ def generate_kasami_welch(t, s, poly, out, as_json, timestamps):
     _emit_generated(
         F, ctx, "kasami-welch",
         {"t": t, "s": s, "exponent": d, "congruence_branch": branch},
-        out, as_json, timestamps, f"kasami_welch_t{t}_s{s}.bf",
+        out, as_json, timestamps, f"kasami_welch_t{t}_s{s}.bf", f"tr(x^{d})",
     )
 
 
@@ -352,10 +356,12 @@ def generate_quadratic(t, j_set, poly, out, as_json, timestamps):
         raise ConditionViolation(f"t must be at least 2, got {t}")
     ctx = _field(2 * t - 1, poly)
     F = quadratic_family(t, J, ctx)
-    label = "-".join(str(j) for j in sorted(set(J)))
+    J = sorted(set(J))
+    # x^(2^j + 1) as x^(2^(j mod m) + 1), a small exponent even for a huge valid j
+    seed = "+".join(f"x^{(1 << (j % ctx.m)) + 1}" for j in J)
     _emit_generated(
-        F, ctx, "quadratic", {"t": t, "J": sorted(set(J))},
-        out, as_json, timestamps, f"quadratic_t{t}_J{label}.bf",
+        F, ctx, "quadratic", {"t": t, "J": J}, out, as_json, timestamps,
+        f"quadratic_t{t}_J{'-'.join(map(str, J))}.bf", f"tr({seed})",
     )
 
 

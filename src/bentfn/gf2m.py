@@ -91,15 +91,14 @@ def cyclotomic_cosets(m: int) -> tuple[CyclotomicCoset, ...]:
 
 
 @lru_cache(maxsize=None)
-def leaders_and_sizes(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coset leaders mod 2^m - 1 in ascending order, and the size of each coset.
+def coset_leaders(m: int) -> np.ndarray:
+    """Coset leaders mod 2^m - 1 in ascending order, as a read-only int32 array.
 
     Doubling mod 2^m - 1 rotates the m-bit form of an exponent, so e leads its
-    coset iff e is at most each of its m - 1 other rotations, and the size is
-    the first k >= 1 whose rotation returns e.  A nonzero even e exceeds its
-    rotation by one bit to the right, so only 0 and the odd exponents are
-    tested.  m vectorised rotations per block of exponents; no coset's members
-    are listed.  Both arrays are int32 and read-only.
+    coset iff e is at most each of its m - 1 other rotations.  A nonzero even e
+    exceeds its rotation by one bit to the right, so only 0 and the odd
+    exponents are tested.  m vectorised rotations per block of exponents; no
+    coset's members are listed.
     """
     if m < MIN_DIMENSION:
         raise DimensionOutOfRange(f"m must be at least {MIN_DIMENSION}, got {m}")
@@ -112,29 +111,14 @@ def leaders_and_sizes(m: int) -> tuple[np.ndarray, np.ndarray]:
             lead &= exps <= _rotate(exps, k, m)
         found.append(exps[lead])
     leaders = np.concatenate(found)
-    sizes = np.full(leaders.size, m, dtype=np.int32)
-    for k in range(m - 1, 0, -1):  # the smallest k is written last
-        sizes[_rotate(leaders, k, m) == leaders] = k
     leaders.setflags(write=False)
-    sizes.setflags(write=False)
-    return leaders, sizes
+    return leaders
 
 
 def _rotate(exps: np.ndarray, k: int, m: int) -> np.ndarray:
     """exps * 2^k mod 2^m - 1, for exponents below 2^m - 1: an m-bit rotation."""
     low = (1 << (m - k)) - 1
     return ((exps & low) << k) | (exps >> (m - k))
-
-
-def _leader_sizes(m: int, leaders: list[int]) -> list[int]:
-    """The coset size of each of ``leaders`` mod 2^m - 1; KeyError for a non-leader."""
-    known, sizes = leaders_and_sizes(m)
-    # keys in the leaders' dtype, or each call would convert all the leaders
-    at = known.searchsorted(np.array(leaders, known.dtype))
-    for leader, found in zip(leaders, known.take(at, mode="clip").tolist()):
-        if leader != found:
-            raise KeyError(leader)
-    return sizes.take(at).tolist()
 
 
 def coset_leader(m: int, e: int) -> int:

@@ -48,7 +48,10 @@ of a six-pack, which the construction join(f0, f0 + tr + xi) keeps in few
 classes modulo {0, 1, tr, tr + 1}.  It interpolates once per class and derives
 the other members' forms exactly: adding tr + b changes only the constant and
 the coefficient of x; a class that holds a parsed expression is not
-interpolated at all.
+interpolated at all.  So the CLI reports every form it already knows, a
+parsed input or the seed text of a generated family, through ``known``.
+Coset sizes come from ``coset_size`` of each term's leader; only
+interpolation enumerates all the leaders of the field (``coset_leaders``).
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from .errors import (
     NotBooleanConsistent,
     ParseError,
 )
-from .gf2m import _BLOCK, FieldContext, _leader_sizes, coset_leader, coset_size, leaders_and_sizes
+from .gf2m import _BLOCK, FieldContext, coset_leader, coset_leaders, coset_size
 
 logger = logging.getLogger(__name__)
 
@@ -137,11 +140,10 @@ class TraceForm:
 
     @property
     def is_binary(self) -> bool:
-        return not self.top_coeff and self._is_binary(_leader_sizes(self.m, list(self.terms)))
-
-    def _is_binary(self, sizes: list[int]) -> bool:
-        """Whether a form without top term is binary, given the coset sizes of its terms."""
-        return all(coeff == 1 for coeff in self.terms.values()) and all(s == self.m for s in sizes)
+        """Whether the form is a plain sum of tr(x^l) over full-length cosets, plus a constant."""
+        return not self.top_coeff and all(
+            coeff == 1 and coset_size(self.m, leader) == self.m
+            for leader, coeff in self.terms.items())
 
     def degree(self) -> int:
         """Max binary weight of the term exponents (m for a nonzero top term)."""
@@ -198,10 +200,8 @@ class TraceForm:
         return BooleanFunction(self.m, table)
 
     def as_dict(self, ctx: FieldContext | None = None) -> dict:
-        leaders = sorted(self.terms)
-        sizes = _leader_sizes(self.m, leaders)  # once, for is_binary and the text
         entries = []
-        for leader in leaders:
+        for leader in sorted(self.terms):
             coeff = self.terms[leader]
             if coeff == 1:
                 entries.append({"leader": leader, "coeff": "1"})
@@ -212,8 +212,8 @@ class TraceForm:
         out = {
             "constant": self.constant,
             "terms": entries,
-            "is_binary": not self.top_coeff and self._is_binary(sizes),
-            "text": _format(self, ctx, leaders, sizes),
+            "is_binary": self.is_binary,
+            "text": format_trace_form(self, ctx),
         }
         if self.top_coeff:
             out["top_coeff"] = self.top_coeff
@@ -296,7 +296,7 @@ def _plan(f: BooleanFunction, ctx: FieldContext, weight: int) -> tuple[str, np.n
     """The interpolation of ``f`` that the cost rule picks (module docstring):
     its name and the coset leaders to sum over, or None for the additive FFT."""
     m = ctx.m
-    leaders, _ = leaders_and_sizes(m)
+    leaders = coset_leaders(m)
     name = "leader summation"
     if leaders.size * weight > m * _pass_cost(m):
         degree = f.degree()
@@ -329,7 +329,7 @@ def to_trace_form(f: BooleanFunction, ctx: FieldContext) -> TraceForm:
     start = time.perf_counter()
     algorithm, leaders = _plan(f, ctx, weight)
     if leaders is None:
-        leaders, _ = leaders_and_sizes(ctx.m)
+        leaders = coset_leaders(ctx.m)
         full = _additive_interpolation(f, ctx)
         coeffs = full[leaders]
         coeffs[0] ^= full[-1]
@@ -403,11 +403,7 @@ def format_trace_form(tf: TraceForm, ctx: FieldContext | None = None) -> str:
     coefficient renders as the bare monomial x^(2^m - 1).
     """
     leaders = sorted(tf.terms)
-    return _format(tf, ctx, leaders, _leader_sizes(tf.m, leaders))
-
-
-def _format(tf: TraceForm, ctx: FieldContext | None, leaders: list[int], sizes: list[int]) -> str:
-    """format_trace_form, given the form's leaders in ascending order and their coset sizes."""
+    sizes = [coset_size(tf.m, leader) for leader in leaders]
     parts = []
     if tf.constant:
         parts.append("1")

@@ -12,7 +12,7 @@ from bentfn.cli import main
 from bentfn.constructions import _six_pack_of, kasami_welch, normalize_near_bent, six_pack
 from bentfn.errors import BentVerificationFailed
 from bentfn.gf2m import FieldContext
-from bentfn.tracerep import parse, to_trace_form
+from bentfn.tracerep import parse, parse_form, to_trace_form
 from bentfn.tvr import join, split
 
 
@@ -262,6 +262,24 @@ class TestAnalyze:
         assert result.stdout == "" and not trace_form_calls
         assert invoke(runner, args).exit_code == 0
 
+    def test_parsed_form_is_printed_without_the_field_leaders(self, runner, monkeypatch):
+        # only an interpolation needs every coset leader of the field; a parsed
+        # form's coset sizes come from its own leaders
+        def enumerate_leaders(m):
+            raise AssertionError(f"enumerated the coset leaders mod 2^{m} - 1")
+
+        monkeypatch.setattr("bentfn.gf2m.coset_leaders", enumerate_leaders)
+        monkeypatch.setattr("bentfn.tracerep.coset_leaders", enumerate_leaders)
+        ctx = FieldContext(9)
+        # 73 leads a coset of size 3, so that form is not binary
+        for expr, text, binary in [("tr(x^3+x^9)", "tr(x^3+x^9)", True),
+                                   ("tr(x^73)+tr(x)+1", "1+tr(x)+tr_3(x^73)", False)]:
+            result = invoke(runner, ["analyze", "--json", "--dim", "9", "--expr", expr])
+            assert result.exit_code == 0
+            form = json.loads(result.output)["trace_form"]
+            assert (form["text"], form["is_binary"]) == (text, binary)
+            assert form == parse_form(expr, ctx).as_dict(ctx)
+
 
 class TestGenerate:
     def test_kasami_welch(self, runner, tmp_path):
@@ -343,6 +361,60 @@ class TestGenerate:
             ["generate", "kasami-welch", "--t", "4", "--s", "2", "--out", str(tmp_path)],
         )
         assert_failure(result, 4, "verification failed")
+
+    @pytest.mark.parametrize("args", [
+        ["kasami-welch", "--t", "4", "--s", "2"],
+        ["quadratic", "--t", "4", "--j", "1,3"],
+        ["kasami-welch", "--t", "4", "--s", "2", "--poly", "x^7+x^3+1"],
+    ])
+    def test_f0_form_comes_from_the_family_without_interpolation(self, runner, tmp_path, args):
+        result = invoke(runner, ["-v", "generate", *args, "--out", str(tmp_path), "--json"])
+        assert result.exit_code == 0
+        assert "interpolated" not in result.stderr
+        payload = json.loads(result.stdout)
+        ctx = FieldContext(7, int(payload["field"]["primitive_poly"], 16))
+        f0, _ = split(BooleanFunction.load(payload["file"]))
+        assert payload["f0_trace_form"] == to_trace_form(f0, ctx).as_dict(ctx)
+
+    def test_f0_outside_the_seed_class_is_interpolated(self, runner, tmp_path, monkeypatch,
+                                                       ctx7):
+        # f0 = tr(x^13) is not tr(x^3+x^9) plus any of 0, 1, tr, tr + 1
+        monkeypatch.setattr("bentfn.cli.quadratic_family",
+                            lambda t, J, ctx: kasami_welch(4, 2, ctx))
+        result = invoke(runner, ["-v", "generate", "quadratic", "--t", "4", "--j", "1,3",
+                                 "--out", str(tmp_path), "--json"])
+        assert result.exit_code == 0
+        assert result.stderr.count("interpolated") == 1
+        payload = json.loads(result.stdout)
+        f0, _ = split(BooleanFunction.load(payload["file"]))
+        assert payload["f0_trace_form"] == to_trace_form(f0, ctx7).as_dict(ctx7)
+        assert payload["f0_trace_form"]["text"] == "tr(x^13)"
+
+    def test_huge_index_is_reduced_before_the_seed_text(self, runner, tmp_path):
+        # 10^12 + 2 = 3 mod 9: the seed is tr(x^3+x^9), written without forming 2^(10^12 + 2)
+        huge = invoke(runner, ["generate", "quadratic", "--t", "5", "--j", "1,1000000000002",
+                               "--out", str(tmp_path)])
+        assert huge.exit_code == 0
+        assert huge.output == (
+            "family:         quadratic {'t': 5, 'J': [1, 1000000000002]}\n"
+            "field:          m=9, poly=0x211\n"
+            "classification: bent\n"
+            "degree:         2\n"
+            "f0 trace form:  tr(x^3+x^9)\n"
+            f"wrote:          {tmp_path / 'quadratic_t5_J1-1000000000002.bf'}\n"
+        )
+        huge = json.loads(invoke(runner, ["generate", "quadratic", "--t", "5", "--j",
+                                          "1,1000000000002", "--out", str(tmp_path),
+                                          "--json"]).output)
+        small = json.loads(invoke(runner, ["generate", "quadratic", "--t", "5", "--j", "1,3",
+                                           "--out", str(tmp_path), "--json"]).output)
+        assert huge.pop("J") == [1, 1000000000002] and small.pop("J") == [1, 3]
+        assert huge.pop("file") == str(tmp_path / "quadratic_t5_J1-1000000000002.bf")
+        assert small.pop("file") == str(tmp_path / "quadratic_t5_J1-3.bf")
+        assert huge == small
+        assert huge["f0_trace_form"]["text"] == "tr(x^3+x^9)"
+        assert ((tmp_path / "quadratic_t5_J1-1000000000002.bf").read_bytes()
+                == (tmp_path / "quadratic_t5_J1-3.bf").read_bytes())
 
 
 class TestSixpack:

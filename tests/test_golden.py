@@ -84,6 +84,11 @@ CASES = {
     "verify_dim8_kasami_welch_xi0": ["verify", "--dim", "8", "--expr-pair", "tr(x^13)", "+tr(x)"],
     "verify_dim8_pair_without_T": ["verify", "--dim", "8", "--expr-pair", "tr(x^3+x^9)",
                                    "tr(x^3+x^9+x^5)"],
+    # captured while generate still interpolated f0; its form now comes from the seed's text
+    "generate_kasami_welch_t4_s2": ["generate", "kasami-welch", "--t", "4", "--s", "2"],
+    "generate_quadratic_t4_J1-3": ["generate", "quadratic", "--t", "4", "--j", "1,3"],
+    "generate_quadratic_t4_J1-3_poly": ["generate", "quadratic", "--t", "4", "--j", "3,1",
+                                        "--poly", "x^7+x^3+1"],
 }
 
 
@@ -94,7 +99,7 @@ def run_case(name: str, tmp: Path) -> str:
         paths[label] = tmp / f"{label}.bf"
         make().save(paths[label])
     argv = [arg.format(**paths) for arg in CASES[name]] + ["--json"]
-    if argv[0] == "sixpack":
+    if argv[0] in ("sixpack", "generate"):
         out = tmp / "out"
         out.mkdir()
         argv += ["--out", str(out)]
