@@ -392,17 +392,18 @@ def check_pseudo_dual_conditions(F: BooleanFunction, ctx: FieldContext) -> Check
     flags = condition_flags(F, ctx)
     if not flags.has_T:
         raise ConditionTNotMet("component sum is not tr or tr + 1")
-    tr = trace_function(ctx)
+    dual_F = dual(F, ctx)
     items = []
-    for i, component in enumerate(split(dual(F, ctx))):
-        items += _pseudo_dual_items(i, component, tr, flags.xi, ctx)
+    for i in range(2):
+        # each half is built here and dies with its trace_join, so only one
+        # pseudo-dual and no half-size spectrum is alive at a time
+        items += _pseudo_dual_items(i, trace_join(split(dual_F)[i], ctx), flags.xi, ctx)
     return CheckReport("pseudo-dual-conditions", items)
 
 
-def _pseudo_dual_items(i, component, tr, xi, ctx) -> list:
-    # builds and checks one pseudo-dual, so only one full-size spectrum is
-    # alive at a time; it is dropped as soon as the dual is taken
-    pd = join(component, component + tr)
+def _pseudo_dual_items(i, pd, xi, ctx) -> list:
+    # checks one pseudo-dual; its derived spectrum is dropped as soon as the
+    # dual is taken
     bent_ok = walsh(pd).classification is Classification.BENT
     items = [CheckItem(f"pseudo{i}-bent", bent_ok)]
     if bent_ok:
@@ -608,9 +609,7 @@ def pseudo_dual_collision_demo(ctx: FieldContext | None = None) -> CollisionRepo
     ]
     if items[0].passed and items[1].passed:
         duals = (dual(first, ctx), dual(second, ctx))
-        # only the tables are compared, so the pseudo-duals need no spectrum
-        tr = trace_function(ctx)
-        pd_first, pd_second = (join(d0, d0 + tr) for d0, _ in map(split, duals))
+        pd_first, pd_second = (trace_join(split(d)[0], ctx) for d in duals)
         items.append(CheckItem("duals-differ", duals[0] != duals[1]))
         items.append(CheckItem("first-pseudo-duals-identical", pd_first == pd_second))
     return CollisionReport(first, second, CheckReport("pseudo-dual-collision", items))

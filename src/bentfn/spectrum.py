@@ -9,8 +9,8 @@ A function's spectrum is computed once: :func:`walsh` keeps it on the
 immutable :class:`~bentfn.boolfn.BooleanFunction`, so duals, checkers and the
 CLI share one transform per function object.  Joins with the trace are not
 transformed at all: :func:`trace_join` derives the spectrum of join(c, c + tr)
-from the half-size spectrum of c.  A six-pack's base and both pseudo-duals are
-built that way; the pseudo-duals that the verify checker builds are not.
+from the half-size spectrum of c.  A six-pack's base and every pseudo-dual,
+the verify checker's included, are built that way.
 
 Up to ``_FWHT_BLOCK`` (2^16) points the butterfly runs its upper levels on the
 natural layout and its lower levels on one transposed copy, so no level works

@@ -36,6 +36,22 @@ from bentfn.tvr import join, linear_form, split
 from helpers import gf_pow
 
 
+@pytest.fixture()
+def fwht_sizes(monkeypatch):
+    """The size of every FWHT that runs while the test does."""
+    import bentfn.spectrum as spectrum
+
+    sizes = []
+    fwht = spectrum._fwht
+
+    def counting_fwht(values):
+        sizes.append(values.size)
+        return fwht(values)
+
+    monkeypatch.setattr(spectrum, "_fwht", counting_fwht)
+    return sizes
+
+
 class TestBentFromNearBent:
     def test_quadratic_seed(self, ctx7):
         f0 = trace_polynomial(ctx7, [3, 9])
@@ -161,6 +177,28 @@ class TestDualSupport:
         assert not report.report.item("first-dual-support-is-S-union-S1").passed
         assert report.report.item("S-and-S1-disjoint").passed
         assert report.report.item("zero-set-size").passed
+
+    def test_flipped_dual_bit_fails_pseudo_dual_bent_check(self, ctx7, monkeypatch, fwht_sizes):
+        import bentfn.constructions as constructions
+
+        def flipped_dual(F, ctx):
+            table = dual(F, ctx).table.copy()
+            table[5] ^= 1
+            return BooleanFunction(F.m, table)
+
+        F = kasami_welch(4, 2, ctx7)
+        fwht_sizes.clear()
+        monkeypatch.setattr(constructions, "dual", flipped_dual)
+        report = check_pseudo_dual_conditions(F, ctx7)
+        # the flipped point lies in the first half: pseudo0 is not bent, so its
+        # dual is never taken, and pseudo1 is; both spectra are derived
+        assert not report.passed
+        assert [item.name for item in report.items] == [
+            "pseudo0-bent", "pseudo1-bent", "pseudo1-dual-meets-C", "pseudo1-dual-xi-1",
+        ]
+        assert not report.item("pseudo0-bent").passed
+        assert report.item("pseudo1-bent").passed
+        assert fwht_sizes == [128, 128]
 
     def test_quadratic_zero_indicator_is_trace(self, ctx7):
         f0 = trace_polynomial(ctx7, [3, 9])
@@ -382,30 +420,16 @@ class TestOneSpectrumPerFunction:
         f = trace_polynomial(ctx7, [13])
         assert walsh(f) is walsh(f)
 
-    @pytest.fixture()
-    def fwht_sizes(self, monkeypatch):
-        """The size of every FWHT that runs while the test does."""
-        import bentfn.spectrum as spectrum
-
-        sizes = []
-        fwht = spectrum._fwht
-
-        def counting_fwht(values):
-            sizes.append(values.size)
-            return fwht(values)
-
-        monkeypatch.setattr(spectrum, "_fwht", counting_fwht)
-        return sizes
-
     def test_verify_function_transform_count(self, ctx7, fwht_sizes):
         f0 = trace_polynomial(ctx7, [3, 9])
         F = join(f0, f0 + trace_function(ctx7))
         suite = verify_function(F, ctx7)
         assert suite.passed and not suite.skipped
-        # F and the two pseudo-duals that check_pseudo_dual_conditions builds at
-        # 2^8 points; at 2^7 points f0 for dual-support, f0 again and f1 for the
-        # zero-set checks, since each split(F) makes fresh components
-        assert sorted(fwht_sizes) == [128] * 3 + [256] * 3
+        # 2^8 points: F, which join builds without a spectrum (bent-classification).
+        # 2^7 points: f0 for dual-support; one dual half for each pseudo-dual
+        # that check_pseudo_dual_conditions derives by trace_join; f0 again and
+        # f1 for the zero-set checks, since each split(F) makes fresh components
+        assert sorted(fwht_sizes) == [128] * 5 + [256]
 
     @pytest.mark.parametrize("m", [7, 11])
     def test_six_pack_transform_count(self, m, fwht_sizes):
@@ -423,9 +447,20 @@ class TestOneSpectrumPerFunction:
         from bentfn.worked_examples import EXAMPLES, run_example
 
         assert run_example(EXAMPLES[1]).passed
-        # six_pack's 3 + 2, dual-support's f0 and the two pseudo-duals that
-        # check_pseudo_dual_conditions joins and transforms itself
-        assert sorted(fwht_sizes) == [128] * 4 + [256] * 4
+        # 2^7 points: the parsed seed (trace_join builds F); in verify_function,
+        # f0 for dual-support, the two dual halves of check_pseudo_dual_conditions,
+        # f0 and f1 for the zero-set checks; the two dual halves of _six_pack_of.
+        # 2^8 points: the duals of _six_pack_of's two pseudo-duals
+        assert sorted(fwht_sizes) == [128] * 8 + [256] * 2
+
+    @pytest.mark.parametrize("m", [7, 11])
+    def test_pseudo_dual_check_transforms_only_halves(self, m, fwht_sizes):
+        ctx = FieldContext(m)
+        F = bent_from_near_bent(trace_polynomial(ctx, [3]), ctx)
+        fwht_sizes.clear()
+        assert check_pseudo_dual_conditions(F, ctx).passed
+        # each pseudo-dual's spectrum is derived from its dual half's
+        assert fwht_sizes == [1 << m] * 2
 
     def test_refused_zero_set_check_makes_no_transform(self, ctx7, monkeypatch):
         import bentfn.spectrum as spectrum
