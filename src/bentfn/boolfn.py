@@ -101,6 +101,10 @@ class BooleanFunction:
         """The function x -> F(x) + F(x + e), point addition being XOR."""
         if not 0 <= e < len(self):
             raise ValueError(f"direction {e} out of range for dimension {self.m}")
+        if e and not e & (e - 1):
+            # x + e flips one bit: swap the halves of each 2e-entry run, no index array
+            pairs = self._table.reshape(-1, 2, e)
+            return BooleanFunction(self.m, (pairs ^ pairs[:, ::-1]).reshape(-1))
         idx = np.arange(len(self), dtype=np.int32)  # int32 indexes any table below 2^31
         idx ^= e
         return BooleanFunction(self.m, self._table ^ self._table[idx])

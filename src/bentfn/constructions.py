@@ -331,11 +331,12 @@ def dual_support_analysis(F: BooleanFunction, ctx: FieldContext) -> DualSupportR
     _require_xi_zero(F, ctx)
     f0, _ = split(F)
     t = F.m // 2
-    values = walsh(f0).trace_indexed(ctx)
+    # compare on the coordinate-indexed spectrum, then gather the masks by field point
+    coeffs, perm = walsh(f0).coeffs, ctx.dual_perm()
 
-    s = (values == -(1 << t)).astype(np.uint8)
+    s = (coeffs == -(1 << t))[perm]
     s1 = s.reshape(-1, 2)[:, ::-1].ravel()  # s1[x] = s[x ^ 1], with no index array
-    g = BooleanFunction(ctx.m, values == 0)
+    g = BooleanFunction(ctx.m, (coeffs == 0)[perm])
     d0, d1 = split(dual(F, ctx))
 
     items = [
@@ -430,8 +431,7 @@ def check_spectrum_zero_set(f: BooleanFunction, ctx: FieldContext) -> CheckRepor
     if omega is None:
         raise DerivativeNotConstant("unit derivative not constant")
     _require_near_bent(f)
-    values = walsh(f).trace_indexed(ctx)
-    zero_set = (values == 0)
+    zero_set = (walsh(f).coeffs == 0)[ctx.dual_perm()]  # compare, then gather by field point
     expected = (ctx.trace_table == (1 ^ omega))
     match = bool(np.array_equal(zero_set, expected))
     witness = None if match else int(np.nonzero(zero_set != expected)[0][0])

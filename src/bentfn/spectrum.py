@@ -14,8 +14,11 @@ the verify checker's included, are built that way.
 
 Up to ``_FWHT_BLOCK`` (2^16) points the butterfly runs its upper levels on the
 natural layout and its lower levels on one transposed copy, so no level works
-on runs shorter than 2^(m//2) entries; above that it runs each level in pieces
-of ``_FWHT_BLOCK`` entries on the natural layout.
+on runs shorter than 2^(m//2) entries.  Above that it transforms each block of
+``_FWHT_BLOCK`` entries in turn, in cache, and then runs the upper levels on
+contiguous copies of ``_STRIP`` (2^12) columns of the blocks, one strip at a
+time.  :func:`dual` compares the coefficients before it reindexes them by field
+point, so its gather through ``dual_perm`` moves bytes, not int32 values.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .gf2m import FieldContext
 
 MAX_WALSH_DIMENSION = 24
 _FWHT_BLOCK = 1 << 16
+_STRIP = 1 << 12
 
 
 class Classification(enum.Enum):
@@ -50,33 +54,33 @@ def _levels(values: np.ndarray, h: int) -> None:
         h <<= 1
 
 
+def _block_fwht(values: np.ndarray) -> None:
+    # The levels of the upper m - m//2 bits run on the natural layout, those of
+    # the lower m//2 bits on one transposed copy, where those bits are on top:
+    # every level then works on runs of at least 2^(m//2) entries.
+    size = values.size
+    low = 1 << ((size.bit_length() - 1) // 2)
+    _levels(values, low)
+    columns = values.reshape(-1, low).T.copy()
+    _levels(columns.reshape(-1), size // low)
+    values.reshape(-1, low)[...] = columns.T
+
+
 def _fwht(values: np.ndarray) -> np.ndarray:
     # in-place butterfly; O(m 2^m) with |coefficients| <= 2^m, safe in int32.
-    size = values.size
-    if size <= _FWHT_BLOCK:
-        # The levels of the upper m - m//2 bits run on the natural layout, those
-        # of the lower m//2 bits on one transposed copy, where those bits are on
-        # top: every level then works on runs of at least 2^(m//2) entries.
-        low = 1 << ((size.bit_length() - 1) // 2)
-        _levels(values, low)
-        columns = values.reshape(-1, low).T.copy()
-        _levels(columns.reshape(-1), size // low)
-        values.reshape(-1, low)[...] = columns.T
+    if values.size <= _FWHT_BLOCK:
+        _block_fwht(values)
         return values
-    # Each level runs in pieces of at most _FWHT_BLOCK entries, so its one
-    # temporary has at most _FWHT_BLOCK / 2 entries at any size.
-    half = _FWHT_BLOCK // 2
-    h = 1
-    while h < size:
-        span = max(_FWHT_BLOCK, 2 * h)
-        for start in range(0, size, span):
-            pairs = values[start : start + span].reshape(-1, 2, h)
-            for lo in range(0, h, half):
-                top, bottom = pairs[:, 0, lo : lo + half], pairs[:, 1, lo : lo + half]
-                total = top + bottom
-                np.subtract(top, bottom, out=bottom)
-                top[...] = total
-        h <<= 1
+    # The lower 16 levels run block by block, each block in cache.  The upper
+    # levels act on the row index of rows; a contiguous copy of _STRIP columns
+    # holds them as its levels of span 2 _STRIP and up.
+    rows = values.reshape(-1, _FWHT_BLOCK)
+    for row in rows:
+        _block_fwht(row)
+    for lo in range(0, _FWHT_BLOCK, _STRIP):
+        strip = rows[:, lo : lo + _STRIP].copy()
+        _levels(strip.reshape(-1), _STRIP)
+        rows[:, lo : lo + _STRIP] = strip
     return values
 
 
@@ -87,8 +91,10 @@ def _classify(coeffs: np.ndarray, m: int) -> tuple[Classification, dict[int, int
     else:
         peak = 1 << ((m + 1) // 2)
         label, allowed = Classification.NEAR_BENT, (-peak, 0, peak)
-    # counting the allowed values needs no sorted copy of the spectrum
-    counts = [int(np.count_nonzero(coeffs == value)) for value in allowed]
+    # counting the allowed values needs no sorted copy of the spectrum; counting
+    # them block by block needs no whole-size boolean array (16 MiB at 2^24 points)
+    counts = [sum(int(np.count_nonzero(coeffs[lo : lo + _FWHT_BLOCK] == value))
+                  for lo in range(0, coeffs.size, _FWHT_BLOCK)) for value in allowed]
     if sum(counts) == coeffs.size:
         return label, {value: count for value, count in zip(allowed, counts) if count}
     values, counts = np.unique(coeffs, return_counts=True)
@@ -159,7 +165,7 @@ def trace_join(c: BooleanFunction, ctx: FieldContext) -> BooleanFunction:
     w = walsh(c).coeffs
     n, s = w.size, ctx.dual_index(1)
     block = min(n, _FWHT_BLOCK)
-    inner = np.arange(block, dtype=np.int32) ^ np.int32(s & (block - 1))
+    inner = np.arange(block, dtype=np.intp) ^ (s & (block - 1))  # so take converts no index
     shifted = np.empty(block, dtype=np.int32)
     coeffs = np.empty(2 * n, dtype=np.int32)
     for lo in range(0, n, block):
@@ -168,6 +174,7 @@ def trace_join(c: BooleanFunction, ctx: FieldContext) -> BooleanFunction:
         np.take(w[source : source + block], inner, out=shifted)
         np.add(w[lo:hi], shifted, out=coeffs[lo:hi])
         np.subtract(w[lo:hi], shifted, out=coeffs[n + lo : n + hi])
+    del inner, shifted  # before _classify, where a verify job's memory peaks
     label, histogram = _classify(coeffs, F.m)
     coeffs.setflags(write=False)
     F._spectrum = WalshSpectrum(F.m, coeffs, label, histogram)
@@ -227,5 +234,5 @@ def dual(F: BooleanFunction, ctx: FieldContext) -> BooleanFunction:
     perm = ctx.dual_perm()
     table = np.empty((2, ctx.order), dtype=np.uint8)
     for half, coeffs in zip(table, spectrum.coeffs.reshape(2, ctx.order)):
-        np.equal(coeffs[perm], -(1 << t), out=half)
+        half[...] = (coeffs == -(1 << t))[perm]
     return BooleanFunction(F.m, table.ravel())

@@ -182,6 +182,25 @@ def kronecker_walsh(f: BooleanFunction) -> np.ndarray:
     return values.reshape(-1)
 
 
+def piecewise_fwht(values: np.ndarray, piece: int = 1 << 16) -> np.ndarray:
+    """In-place butterfly over the natural layout, one level at a time, each
+    level in pieces of at most ``piece`` entries; returns ``values``."""
+    size = values.size
+    half = piece // 2
+    h = 1
+    while h < size:
+        span = max(piece, 2 * h)
+        for start in range(0, size, span):
+            pairs = values[start : start + span].reshape(-1, 2, h)
+            for lo in range(0, h, half):
+                top, bottom = pairs[:, 0, lo : lo + half], pairs[:, 1, lo : lo + half]
+                total = top + bottom
+                np.subtract(top, bottom, out=bottom)
+                top[...] = total
+        h <<= 1
+    return values
+
+
 def naive_mobius(f: BooleanFunction) -> np.ndarray:
     """ANF coefficients by explicit subset sums."""
     out = np.zeros(len(f), dtype=np.uint8)

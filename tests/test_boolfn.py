@@ -87,6 +87,17 @@ class TestDerivative:
         e = raw % (1 << f.m)
         assert f.derivative(e).derivative(e) == BooleanFunction.constant(f.m, 0)
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_gather_formula(self, m):
+        # every single-bit direction, and a few that are not powers of two
+        rng = np.random.default_rng(100 + m)
+        f = random_function(rng, m)
+        points = np.arange(1 << m)
+        directions = [1 << k for k in range(m)]
+        directions += [e for e in (3, 5, (1 << m) - 1) if e < 1 << m and e & (e - 1)]
+        for e in directions:
+            assert np.array_equal(f.derivative(e).table, f.table ^ f.table[points ^ e]), e
+
     def test_unit_derivative_of_trace(self, ctx7):
         # tr(x + 1) = tr(x) + tr(1) and tr(1) = 1 on odd m
         assert trace_function(ctx7).derivative(1).is_constant() == 1

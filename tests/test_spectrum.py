@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ from bentfn.boolfn import BooleanFunction, trace_function, trace_polynomial
 from bentfn.errors import DimensionMismatch, DimensionOutOfRange, NotBent, NotNearBent
 from bentfn.gf2m import FieldContext
 from bentfn.spectrum import (
+    _FWHT_BLOCK,
     Classification,
+    _classify,
+    _fwht,
     check_nearbent_distribution,
     classify,
     dual,
@@ -15,7 +20,13 @@ from bentfn.spectrum import (
 )
 from bentfn.tvr import join
 
-from helpers import kronecker_walsh, naive_walsh, naive_walsh_at_trace_point, random_function
+from helpers import (
+    kronecker_walsh,
+    naive_walsh,
+    naive_walsh_at_trace_point,
+    piecewise_fwht,
+    random_function,
+)
 
 
 class TestTransform:
@@ -45,10 +56,67 @@ class TestTransform:
 
     @pytest.mark.parametrize("m", [16, 17, 18])
     def test_matches_kronecker_across_blocks(self, m):
-        # the butterfly runs in pieces of 2^16 entries; these sizes fill one,
-        # two and four of them
+        # 2^16 points are one block, transformed whole; above that each block of
+        # 2^16 runs the lower 16 levels, and column strips the upper ones over
+        # the two and four rows of these sizes
         f = random_function(np.random.default_rng(m), m)
         assert np.array_equal(walsh(f).coeffs, kronecker_walsh(f))
+
+    # 2, 4, 8 and 16 rows of _FWHT_BLOCK entries, each cut into _FWHT_BLOCK / _STRIP
+    # strips; a delta's transform is +-1 everywhere, so no strip may be skipped
+    @pytest.mark.parametrize("m", [17, 18, 19, 20])
+    @pytest.mark.parametrize("kind", ["random", "constant", "delta"])
+    def test_blocked_matches_piecewise_oracle(self, m, kind):
+        size = 1 << m
+        rng = np.random.default_rng(m)
+        if kind == "random":
+            values = (1 - 2 * rng.integers(0, 2, size)).astype(np.int32)
+        elif kind == "constant":
+            values = np.full(size, -1, dtype=np.int32)
+        else:
+            values = np.zeros(size, dtype=np.int32)
+            values[int(rng.integers(size - _FWHT_BLOCK, size))] = 1
+        expected = piecewise_fwht(values.copy())
+        assert np.array_equal(_fwht(values), expected)
+
+    def test_one_fwht_call_per_transform(self, monkeypatch):
+        # transforms are counted by wrapping _fwht, so the blocks of a large
+        # transform must not go through it again
+        import bentfn.spectrum as spectrum
+
+        sizes, fwht = [], spectrum._fwht
+        monkeypatch.setattr(spectrum, "_fwht", lambda values: sizes.append(values.size) or fwht(values))
+        walsh(random_function(np.random.default_rng(17), 17))
+        assert sizes == [1 << 17]
+
+    def test_temporaries_stay_small(self):
+        # the strips of 2^20 points hold 16 x _STRIP entries; nothing of the
+        # array's own size may be allocated
+        values = np.ones(1 << 20, dtype=np.int32)
+        tracemalloc.start()
+        try:
+            _fwht(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, f"{peak / 2**20:.2f} MiB"
+        assert values[0] == 1 << 20 and not values[1:].any()
+
+    def test_classify_counts_block_by_block(self):
+        # a bent spectrum of 2^20 points spans 16 blocks; counting its two values
+        # makes one block of booleans at a time
+        ctx = FieldContext(19)
+        f0 = trace_polynomial(ctx, [3])
+        coeffs = walsh(join(f0, f0 + trace_function(ctx))).coeffs
+        tracemalloc.start()
+        try:
+            label, histogram = _classify(coeffs, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * _FWHT_BLOCK, f"{peak / 2**20:.2f} MiB"
+        assert label is Classification.BENT
+        assert histogram == {v: int(np.count_nonzero(coeffs == v)) for v in (-1024, 1024)}
 
     def test_parseval(self):
         rng = np.random.default_rng(0)
@@ -192,6 +260,34 @@ class TestDual:
         f0 = trace_polynomial(ctx7, [3, 5, 7, 11, 19, 21])
         F = join(f0, f0 + trace_function(ctx7))
         assert dual(F, ctx7) == F
+
+    @pytest.mark.parametrize("m", range(5, 12, 2))
+    def test_matches_gather_then_compare(self, m):
+        # oracle: reindex every coefficient by field point, then compare
+        ctx = FieldContext(m)
+        rng = np.random.default_rng(m)
+        t = (m + 1) // 2
+        for e in (3, 5):
+            a, c = int(rng.integers(1, 1 << m)), int(rng.integers(0, 2))
+            F = trace_join(trace_polynomial(ctx, [e]).add_linear_form(ctx, a, c), ctx)
+            coeffs = walsh(F).coeffs.reshape(2, -1)
+            expected = (coeffs[:, ctx.dual_perm()] == -(1 << t)).ravel()
+            assert np.array_equal(dual(F, ctx).table, expected)
+
+    def test_no_coefficient_sized_temporary_at_dim_20(self):
+        ctx = FieldContext(19)
+        F = trace_join(trace_polynomial(ctx, [3]), ctx)
+        ctx.dual_perm()  # built on first use, not part of the dual
+        tracemalloc.start()
+        try:
+            D = dual(F, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 2^20-entry table and the function's private copy take 1 MiB each;
+        # a 2^19-entry int32 or intp temporary beside the table reaches 3 MiB
+        assert peak < 3 << 20, f"{peak / 2**20:.2f} MiB"
+        assert dual(D, ctx) == F
 
     def test_derivatives_of_bent_balanced(self, ctx5):
         f0 = trace_polynomial(ctx5, [3])
