@@ -34,7 +34,7 @@ def _xor_butterfly(table: np.ndarray) -> np.ndarray:
 class BooleanFunction:
     """An m-variable Boolean function stored as a 2^m-entry 0/1 table."""
 
-    __slots__ = ("m", "_table", "_spectrum")
+    __slots__ = ("m", "_table", "_spectrum", "_dual", "_flags")
 
     def __init__(self, m: int, table):
         # a private copy, so later writes to the caller's array cannot reach it
@@ -51,6 +51,8 @@ class BooleanFunction:
         self.m = m
         self._table = arr
         self._spectrum = None  # filled by bentfn.spectrum.walsh
+        self._dual = None  # (ctx, dual), filled by bentfn.spectrum.dual
+        self._flags = None  # (ctx, flags), filled by bentfn.constructions.condition_flags
 
     @property
     def table(self) -> np.ndarray:

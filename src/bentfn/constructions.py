@@ -282,36 +282,35 @@ def pseudo_duals(
     F: BooleanFunction, ctx: FieldContext
 ) -> tuple[BooleanFunction, BooleanFunction]:
     """The two functions joining each dual component with itself plus tr."""
-    dual_F = dual(F, ctx)
-    return _pseudo_duals_of_dual(dual_F, ctx)
-
-
-def _pseudo_duals_of_dual(dual_F: BooleanFunction, ctx: FieldContext):
-    d0, d1 = split(dual_F)
+    d0, d1 = split(dual(F, ctx))
     return trace_join(d0, ctx), trace_join(d1, ctx)
 
 
 def condition_flags(F: BooleanFunction, ctx: FieldContext) -> ConditionFlags:
-    """Detect the trace condition on the component sum and the unit-derivative constant."""
-    f0, f1 = split(F)
-    sum01 = f0 + f1
-    tr = trace_function(ctx)
-    dist0 = (sum01 + tr).weight()
-    dist1 = ctx.order - dist0
-    if dist0 == 0:
-        xi = 0
-    elif dist1 == 0:
-        xi = 1
-    else:
-        xi = None
-    omega = f0.derivative(1).is_constant()
-    return ConditionFlags(
-        xi=xi,
-        has_C=(omega == 0),
-        d1_f0=omega,
-        dist_to_tr=dist0,
-        dist_to_tr_plus_one=dist1,
-    )
+    """Detect the trace condition on the component sum and the unit-derivative constant.
+
+    Kept on ``F`` with ``ctx``, as :func:`~bentfn.spectrum.dual` keeps the dual."""
+    if F._flags is None or F._flags[0] != ctx:
+        f0, f1 = split(F)
+        sum01 = f0 + f1
+        tr = trace_function(ctx)
+        dist0 = (sum01 + tr).weight()
+        dist1 = ctx.order - dist0
+        if dist0 == 0:
+            xi = 0
+        elif dist1 == 0:
+            xi = 1
+        else:
+            xi = None
+        omega = f0.derivative(1).is_constant()
+        F._flags = (ctx, ConditionFlags(
+            xi=xi,
+            has_C=(omega == 0),
+            d1_f0=omega,
+            dist_to_tr=dist0,
+            dist_to_tr_plus_one=dist1,
+        ))
+    return F._flags[1]
 
 
 def _require_xi_zero(F: BooleanFunction, ctx: FieldContext) -> ConditionFlags:
@@ -393,12 +392,11 @@ def check_pseudo_dual_conditions(F: BooleanFunction, ctx: FieldContext) -> Check
     flags = condition_flags(F, ctx)
     if not flags.has_T:
         raise ConditionTNotMet("component sum is not tr or tr + 1")
-    dual_F = dual(F, ctx)
     items = []
     for i in range(2):
         # each half is built here and dies with its trace_join, so only one
         # pseudo-dual and no half-size spectrum is alive at a time
-        items += _pseudo_dual_items(i, trace_join(split(dual_F)[i], ctx), flags.xi, ctx)
+        items += _pseudo_dual_items(i, trace_join(split(dual(F, ctx))[i], ctx), flags.xi, ctx)
     return CheckReport("pseudo-dual-conditions", items)
 
 
@@ -450,7 +448,7 @@ def check_component_derivative_pairing(F: BooleanFunction, ctx: FieldContext) ->
     if spectrum.classification is not Classification.BENT:
         raise NotBent(f"function is {spectrum.classification.value}, not bent")
     f0, f1 = split(F)
-    w0 = f0.derivative(1).is_constant()
+    w0 = condition_flags(F, ctx).d1_f0
     w1 = f1.derivative(1).is_constant()
     if w0 is None:
         paired = w1 is None
@@ -575,14 +573,13 @@ def six_pack(f0: BooleanFunction, ctx: FieldContext) -> SixPack:
 
 def _six_pack_of(F: BooleanFunction, ctx: FieldContext) -> SixPack:
     """The six-pack of a bent F: its dual, both pseudo-duals and their duals."""
-    dual_F = dual(F, ctx)
-    pd0, pd1 = _pseudo_duals_of_dual(dual_F, ctx)
+    pd0, pd1 = pseudo_duals(F, ctx)
     pd0_dual = dual(pd0, ctx)
     pd1_dual = dual(pd1, ctx)
     for fn in (pd0_dual, pd1_dual):
         if walsh(fn).classification is not Classification.BENT:
             raise BentVerificationFailed("a derived function failed the bent check")
-    return SixPack(F, dual_F, pd0, pd1, pd0_dual, pd1_dual, ctx)
+    return SixPack(F, dual(F, ctx), pd0, pd1, pd0_dual, pd1_dual, ctx)
 
 
 _COLLISION_FIRST = (7, 13, 19, 21)

@@ -6,11 +6,11 @@ through :meth:`bentfn.gf2m.FieldContext.dual_index`, which keeps all basis
 dependence in one bijection.
 
 A function's spectrum is computed once: :func:`walsh` keeps it on the
-immutable :class:`~bentfn.boolfn.BooleanFunction`, so duals, checkers and the
-CLI share one transform per function object.  Joins with the trace are not
-transformed at all: :func:`trace_join` derives the spectrum of join(c, c + tr)
-from the half-size spectrum of c.  A six-pack's base and every pseudo-dual,
-the verify checker's included, are built that way.
+immutable :class:`~bentfn.boolfn.BooleanFunction`, and :func:`dual` keeps the
+dual there once per field, as ``condition_flags`` keeps its flags.  Joins with
+the trace are not transformed: :func:`trace_join` derives the spectrum of
+join(c, c + tr) from the half-size one of c, for a six-pack's base and every
+pseudo-dual, the verify checker's included.
 
 Up to ``_FWHT_BLOCK`` (2^16) points the butterfly runs its upper levels on the
 natural layout and its lower levels on one transposed copy, so no level works
@@ -220,19 +220,22 @@ def dual(F: BooleanFunction, ctx: FieldContext) -> BooleanFunction:
     """Dual of a bent function on GF(2^(m)) x GF(2), via the trace inner product.
 
     The dual takes value 1 exactly where the Fourier coefficient is -2^t.
-    Raises NotBent otherwise; requires F.m = ctx.m + 1 with F.m even.
+    Raises NotBent otherwise; requires F.m = ctx.m + 1 with F.m even.  It is
+    kept on ``F`` with ``ctx``, and a later call over an equal field returns it.
     """
-    if F.m != ctx.m + 1 or F.m % 2:
-        raise DimensionMismatch(
-            f"dual needs an even-dimensional function over a field of dimension one less; "
-            f"got F.m={F.m}, ctx.m={ctx.m}"
-        )
-    spectrum = walsh(F)
-    if spectrum.classification is not Classification.BENT:
-        raise NotBent(f"function is {spectrum.classification.value}, not bent")
-    t = F.m // 2
-    perm = ctx.dual_perm()
-    table = np.empty((2, ctx.order), dtype=np.uint8)
-    for half, coeffs in zip(table, spectrum.coeffs.reshape(2, ctx.order)):
-        half[...] = (coeffs == -(1 << t))[perm]
-    return BooleanFunction(F.m, table.ravel())
+    if F._dual is None or F._dual[0] != ctx:
+        if F.m != ctx.m + 1 or F.m % 2:
+            raise DimensionMismatch(
+                f"dual needs an even-dimensional function over a field of dimension one less; "
+                f"got F.m={F.m}, ctx.m={ctx.m}"
+            )
+        spectrum = walsh(F)
+        if spectrum.classification is not Classification.BENT:
+            raise NotBent(f"function is {spectrum.classification.value}, not bent")
+        t = F.m // 2
+        perm = ctx.dual_perm()
+        table = np.empty((2, ctx.order), dtype=np.uint8)
+        for half, coeffs in zip(table, spectrum.coeffs.reshape(2, ctx.order)):
+            half[...] = (coeffs == -(1 << t))[perm]
+        F._dual = (ctx, BooleanFunction(F.m, table.ravel()))
+    return F._dual[1]

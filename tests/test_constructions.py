@@ -471,6 +471,84 @@ class TestOneSpectrumPerFunction:
             check_spectrum_zero_set(f, ctx7)
 
 
+@pytest.fixture()
+def derived(monkeypatch):
+    """Every result of ``dual`` and ``condition_flags`` that the constructions obtain
+    while the test runs, by name.  Each is kept alive, so distinct objects have
+    distinct ids."""
+    import bentfn.constructions as constructions
+
+    results = {"dual": [], "condition_flags": []}
+    for name, kept in results.items():
+        def keeping(F, ctx, compute=getattr(constructions, name), kept=kept):
+            kept.append(compute(F, ctx))
+            return kept[-1]
+
+        monkeypatch.setattr(constructions, name, keeping)
+    return results
+
+
+def _distinct(objects) -> int:
+    return len({id(obj) for obj in objects})
+
+
+class TestOneDualAndFlagsPerFunction:
+    @pytest.fixture()
+    def bent7(self, ctx7):
+        f0 = trace_polynomial(ctx7, [3, 9])
+        return join(f0, f0 + trace_function(ctx7))
+
+    def test_dual_and_flags_are_kept(self, ctx7, bent7):
+        assert dual(bent7, ctx7) is dual(bent7, ctx7)
+        assert condition_flags(bent7, ctx7) is condition_flags(bent7, ctx7)
+
+    def test_equal_field_shares_them(self, ctx7, bent7):
+        other = FieldContext(7)
+        assert other is not ctx7
+        assert dual(bent7, other) is dual(bent7, ctx7)
+        assert condition_flags(bent7, other) is condition_flags(bent7, ctx7)
+
+    def test_each_field_gets_its_own(self, ctx7, ctx7_alt, bent7):
+        duals = [dual(bent7, ctx) for ctx in (ctx7, ctx7_alt)]
+        flags = [condition_flags(bent7, ctx) for ctx in (ctx7, ctx7_alt)]
+        assert duals[0] != duals[1]  # the trace inner product depends on the field
+        # the two fields share one trace table, so the flags are equal but not shared
+        assert flags[1] is not flags[0]
+        for ctx, kept_dual, kept_flags in zip((ctx7, ctx7_alt), duals, flags):
+            fresh = BooleanFunction(bent7.m, bent7.table)
+            assert kept_dual == dual(fresh, ctx)
+            assert kept_flags == condition_flags(fresh, ctx)
+
+    def test_xi_zero_verify(self, ctx7, bent7, derived):
+        assert verify_function(bent7, ctx7).passed
+        # duals of F and of the two pseudo-duals; flags of F and of those two duals
+        assert _distinct(derived["dual"]) == 3
+        assert _distinct(derived["condition_flags"]) == 3
+
+    def test_xi_one_verify(self, ctx7, derived):
+        f0 = trace_polynomial(ctx7, [3, 9])
+        suite = verify_function(join(f0, f0 + trace_function(ctx7) + 1), ctx7)
+        assert suite.passed and suite.flags.xi == 1
+        # the three checks needing xi = 0 are skipped on F's one set of flags
+        assert _distinct(derived["condition_flags"]) == 3
+
+    def test_kasami_welch_verify(self, ctx7, derived):
+        f0 = trace_polynomial(ctx7, [13])  # D1 f0 not constant
+        suite = verify_function(join(f0, f0 + trace_function(ctx7)), ctx7)
+        assert suite.passed and suite.flags.d1_f0 is None
+        assert _distinct(derived["dual"]) == 3
+
+    def test_catalogue_entry(self, derived):
+        from bentfn.worked_examples import EXAMPLES, run_example
+
+        ex = EXAMPLES[1]
+        assert ex.example_id == "quadratic-x3-x9"
+        assert run_example(ex).passed
+        # dual(F) is shared by the suite and _six_pack_of; each builds its
+        # own pseudo-duals, whose duals make the other four
+        assert _distinct(derived["dual"]) == 5
+
+
 class TestVerifyFunction:
     def test_kasami_skips_constant_derivative_checks(self, ctx7):
         suite = verify_function(kasami_welch(4, 2, ctx7), ctx7)
