@@ -23,7 +23,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .boolfn import BooleanFunction
+from .boolfn import BooleanFunction, trace_function
 from .constructions import (
     ConditionFlags,
     condition_flags,
@@ -45,7 +45,7 @@ from .errors import (
     OddDimension,
 )
 from .gf2m import MAX_DIMENSION, FieldContext
-from .spectrum import walsh
+from .spectrum import trace_join, walsh
 from .tracerep import parse, parse_form, trace_forms
 from .tvr import join, split
 from .worked_examples import run_all
@@ -186,10 +186,13 @@ def _resolve_input(dim, expr, expr_pair, table, poly):
         f0 = _parsed(expr_pair[0], ctx, known)
         second = expr_pair[1]
         if second.startswith("+"):
-            f1 = f0 + parse(second[1:], ctx)
+            offset = parse(second[1:], ctx)
         else:
-            f1 = _parsed(second, ctx, known)
-        return join(f0, f1), ctx, {"kind": "expr-pair", "f0": expr_pair[0], "f1": second}, known
+            offset = f0 + _parsed(second, ctx, known)
+        # f1 = f0 + tr + xi: F's spectrum is derived from f0's, with no full transform
+        xi = (offset + trace_function(ctx)).is_constant()
+        fn = join(f0, f0 + offset) if xi is None else trace_join(f0, ctx, xi)
+        return fn, ctx, {"kind": "expr-pair", "f0": expr_pair[0], "f1": second}, known
     if dim is None:
         raise click.UsageError("--dim is required with --expr")
     if dim % 2 == 0 and poly:

@@ -9,8 +9,11 @@ A function's spectrum is computed once: :func:`walsh` keeps it on the
 immutable :class:`~bentfn.boolfn.BooleanFunction`, and :func:`dual` keeps the
 dual there once per field, as ``condition_flags`` keeps its flags.  Joins with
 the trace are not transformed: :func:`trace_join` derives the spectrum of
-join(c, c + tr) from the half-size one of c, for a six-pack's base and every
-pseudo-dual, the verify checker's included.
+join(c, c + tr + xi) from the half-size one of c, for a six-pack's base, every
+pseudo-dual, and a CLI pair whose halves differ by tr or tr + 1.  Nor are the
+components of a transformed join: :func:`component` derives a half's spectrum
+from the joined one, for the checks that read it, and the half takes it away
+with it.  ``trace_join`` keeps no spectrum on c that ``walsh(c)`` did not.
 
 Up to ``_FWHT_BLOCK`` (2^16) points the butterfly runs its upper levels on the
 natural layout and its lower levels on one transposed copy, so no level works
@@ -127,6 +130,22 @@ class WalshSpectrum:
         return self.coeffs[ctx.dual_perm()]
 
 
+def _transform(f: BooleanFunction) -> np.ndarray:
+    # the coefficients of (-1)^f, kept nowhere
+    if f.m > MAX_WALSH_DIMENSION:
+        raise DimensionOutOfRange(f"dimension {f.m} exceeds {MAX_WALSH_DIMENSION}")
+    signs = f.table.astype(np.int32)  # (-1)^F = 1 - 2F, built in place
+    signs *= -2
+    signs += 1
+    return _fwht(signs)
+
+
+def _spectrum(coeffs: np.ndarray, m: int) -> WalshSpectrum:
+    label, histogram = _classify(coeffs, m)
+    coeffs.setflags(write=False)
+    return WalshSpectrum(m, coeffs, label, histogram)
+
+
 def walsh(f: BooleanFunction) -> WalshSpectrum:
     """Fast Walsh-Hadamard transform of (-1)^F, with classification.
 
@@ -134,51 +153,60 @@ def walsh(f: BooleanFunction) -> WalshSpectrum:
     return the same object.
     """
     if f._spectrum is None:
-        if f.m > MAX_WALSH_DIMENSION:
-            raise DimensionOutOfRange(f"dimension {f.m} exceeds {MAX_WALSH_DIMENSION}")
-        signs = f.table.astype(np.int32)  # (-1)^F = 1 - 2F, built in place
-        signs *= -2
-        signs += 1
-        coeffs = _fwht(signs)
-        label, histogram = _classify(coeffs, f.m)
-        coeffs.setflags(write=False)
-        f._spectrum = WalshSpectrum(f.m, coeffs, label, histogram)
+        f._spectrum = _spectrum(_transform(f), f.m)
     return f._spectrum
 
 
-def trace_join(c: BooleanFunction, ctx: FieldContext) -> BooleanFunction:
-    """join(c, c + tr), with its spectrum derived from c's instead of transformed.
+def trace_join(c: BooleanFunction, ctx: FieldContext, xi: int = 0) -> BooleanFunction:
+    """join(c, c + tr + xi), with its spectrum derived from c's instead of transformed.
 
-    c + tr has c's spectrum translated by s = ``ctx.dual_index(1)``, so the
-    joined coefficient at (u, 0) is W_c(u) + W_c(u + s) and at (u, 1) it is
-    W_c(u) - W_c(u + s) (Canteaut and Charpin, Decomposing bent functions,
-    2003).  The one transform is the half-size ``walsh(c)``.
+    c + tr + xi has c's spectrum translated by s = ``ctx.dual_index(1)`` and
+    multiplied by (-1)^xi, so the joined coefficient at (u, 0) is
+    W_c(u) + (-1)^xi W_c(u + s) and at (u, 1) it is W_c(u) - (-1)^xi W_c(u + s)
+    (Canteaut and Charpin, Decomposing bent functions, 2003).  The one
+    transform is the half-size one of c, which is not kept on c unless
+    ``walsh(c)`` kept it before.
     """
     if c.m + 1 > MAX_WALSH_DIMENSION:
         raise DimensionOutOfRange(f"dimension {c.m + 1} exceeds {MAX_WALSH_DIMENSION}")
     if ctx.m != c.m:
         raise DimensionMismatch(f"field has dimension {ctx.m}, function has dimension {c.m}")
-    F = BooleanFunction(c.m + 1, np.concatenate([c.table, c.table ^ ctx.trace_table]))
+    F = BooleanFunction(c.m + 1, np.concatenate([c.table, c.table ^ ctx.trace_table ^ xi]))
 
     # W_c(u + s) block by block: the bits of s above the block pick the source
     # block, those below it permute within the block by one small index
-    w = walsh(c).coeffs
+    w = c._spectrum.coeffs if c._spectrum is not None else _transform(c)
     n, s = w.size, ctx.dual_index(1)
     block = min(n, _FWHT_BLOCK)
     inner = np.arange(block, dtype=np.intp) ^ (s & (block - 1))  # so take converts no index
     shifted = np.empty(block, dtype=np.int32)
     coeffs = np.empty(2 * n, dtype=np.int32)
+    low, high = (np.subtract, np.add) if xi else (np.add, np.subtract)
     for lo in range(0, n, block):
         hi = lo + block
         source = lo ^ (s & -block)
         np.take(w[source : source + block], inner, out=shifted)
-        np.add(w[lo:hi], shifted, out=coeffs[lo:hi])
-        np.subtract(w[lo:hi], shifted, out=coeffs[n + lo : n + hi])
-    del inner, shifted  # before _classify, where a verify job's memory peaks
-    label, histogram = _classify(coeffs, F.m)
-    coeffs.setflags(write=False)
-    F._spectrum = WalshSpectrum(F.m, coeffs, label, histogram)
+        low(w[lo:hi], shifted, out=coeffs[lo:hi])
+        high(w[lo:hi], shifted, out=coeffs[n + lo : n + hi])
+    del w, inner, shifted  # before _classify, where a verify job's memory peaks
+    F._spectrum = _spectrum(coeffs, F.m)
     return F
+
+
+def component(F: BooleanFunction, i: int) -> BooleanFunction:
+    """The component F(., i) of F, with its spectrum derived from F's instead of transformed.
+
+    The coefficients of F at (u, 0) and (u, 1) are W_f0(u) + W_f1(u) and
+    W_f0(u) - W_f1(u), so W_fi(u) is their sum or difference halved.  The
+    component is a new object each call, and its spectrum dies with it.
+    """
+    w = walsh(F).coeffs
+    n = w.size // 2
+    coeffs = (np.subtract if i else np.add)(w[:n], w[n:])
+    coeffs >>= 1  # exact: both sums are even
+    fi = BooleanFunction(F.m - 1, F.table[i * n : (i + 1) * n])
+    fi._spectrum = _spectrum(coeffs, fi.m)
+    return fi
 
 
 def classify(obj) -> Classification:

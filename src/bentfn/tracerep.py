@@ -157,17 +157,20 @@ class TraceForm:
     def evaluate(self, ctx: FieldContext) -> BooleanFunction:
         """Truth table of the form; exact inverse of ``to_trace_form``.
 
-        A coset of size s contributes tr_s(c x^l), with c in GF(2^s).  Since
-        c x^l lies in GF(2^s), tr_m(c x^l) = (m/s) tr_s(c x^l), so every term
-        with m/s odd is summed as a field element and traced once; only
-        cosets with m/s even (possible for even m) expand their s conjugates.
-        O(n^2/m) for a dense form, n = 2^m - 1.
+        The term of leader 1, tr(c x), is the linear form table of c
+        (``FieldContext.linear_form_table``), XORed in last; a form with no
+        other term makes no pass over the field's logs.  Any other coset of
+        size s contributes tr_s(c x^l), with c in GF(2^s).  Since c x^l lies
+        in GF(2^s), tr_m(c x^l) = (m/s) tr_s(c x^l), so every term with m/s
+        odd is summed as a field element and traced once; only cosets with m/s
+        even (possible for even m) expand their s conjugates.  O(n^2/m) for a
+        dense form, n = 2^m - 1.
         """
         if ctx.m != self.m:
             raise DimensionMismatch(f"ctx.m={ctx.m} does not match form dimension {self.m}")
         n = ctx.order - 1
-        leaders = list(self.terms)
-        coeffs = np.fromiter(self.terms.values(), dtype=np.int64, count=len(leaders))
+        leaders = [leader for leader in self.terms if leader != 1]
+        coeffs = np.fromiter(map(self.terms.get, leaders), dtype=np.int64, count=len(leaders))
         sizes = [coset_size(self.m, leader) for leader in leaders]
         # log 1 = 0, so a binary form (a parsed one, say) needs no log table
         logs = coeffs - 1 if (coeffs == 1).all() else ctx.log_table[coeffs].astype(np.int64)
@@ -181,8 +184,10 @@ class TraceForm:
         terms = [(leader, log_c, size) for leader, coeff, log_c, size
                  in zip(leaders, coeffs.tolist(), logs.tolist(), sizes) if coeff]
         table = np.full(ctx.order, self.constant, dtype=np.uint8)
-        # in blocks of exponents, so every temporary stays block-sized
-        for start in range(0, n, _BLOCK):
+        table[1:] ^= self.top_coeff
+        # in blocks of exponents, so every temporary stays block-sized; no
+        # block at all when the linear term is the only one
+        for start in range(0, n if terms else 0, _BLOCK):
             exps = np.arange(start, min(start + _BLOCK, n), dtype=np.int64)
             block_sum = np.zeros(exps.size, dtype=np.int32)
             block_bits = np.zeros(exps.size, dtype=np.int32)
@@ -197,6 +202,8 @@ class TraceForm:
                         block_bits ^= ctx.antilog_table[(logs << k) % n]
             block_bits ^= ctx.trace_table[block_sum] ^ (self.constant ^ self.top_coeff)
             table[ctx.antilog_table[start : start + _BLOCK]] = block_bits
+        if self.terms.get(1):
+            table ^= ctx.linear_form_table(self.terms[1])
         return BooleanFunction(self.m, table)
 
     def as_dict(self, ctx: FieldContext | None = None) -> dict:

@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from bentfn.gf2m import FieldContext
 
-ALT_POLY_7 = 0x89  # x^7 + x^3 + 1
+ALT_POLY_7 = 0x91  # x^7 + x^4 + 1
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +49,19 @@ def trace_form_calls(monkeypatch):
 
     monkeypatch.setattr(tracerep, "to_trace_form", recorded)
     return calls
+
+
+@pytest.fixture()
+def fwht_sizes(monkeypatch):
+    """The size of every FWHT that runs while the test does."""
+    from bentfn import spectrum
+
+    sizes = []
+    fwht = spectrum._fwht
+
+    def counting_fwht(values):
+        sizes.append(values.size)
+        return fwht(values)
+
+    monkeypatch.setattr(spectrum, "_fwht", counting_fwht)
+    return sizes

@@ -15,6 +15,8 @@ from bentfn.gf2m import FieldContext
 from bentfn.tracerep import parse, parse_form, to_trace_form
 from bentfn.tvr import join, split
 
+from conftest import ALT_POLY_7
+
 
 @pytest.fixture()
 def runner():
@@ -485,7 +487,7 @@ class TestSixpack:
         # and every printed form is that of the table written over that field
         args = ["sixpack", "--dim", "7", "--expr", "tr(x^3+x^9)", "--out", str(tmp_path), "--json"]
         default = json.loads(invoke(runner, args).output)
-        alt = json.loads(invoke(runner, [*args, "--poly", "0x89"]).output)
+        alt = json.loads(invoke(runner, [*args, "--poly", hex(ALT_POLY_7)]).output)
         seed = parse("tr(x^3+x^9)", ctx7_alt)
         assert seed != parse("tr(x^3+x^9)", FieldContext(7))
         assert alt["seed_trace_form"] == to_trace_form(seed, ctx7_alt).as_dict(ctx7_alt)
@@ -609,6 +611,34 @@ class TestVerify:
         )
         payload = json.loads(result.output)
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize("pair", [
+        ("tr(x^3+x^9)", "+tr(x)"),
+        ("tr(x^3+x^9)", "+tr(x)+1"),
+        ("tr(x^3+x^9)", "tr(x^3+x^9+x)+1"),
+        ("tr(x^13)", "+tr(x)"),
+    ])
+    def test_trace_pair_transforms_only_halves(self, runner, tmp_path, fwht_sizes, pair):
+        # F's spectrum is derived from f0's, and f0's and f1's from F's; the two
+        # dual halves are transformed for the pseudo-duals
+        args = ["verify", "--dim", "8", "--expr-pair", *pair]
+        result = invoke(runner, args)
+        assert result.exit_code == 0
+        assert fwht_sizes == [128] * 3
+        # the same table read from a file is transformed whole, and reports the same
+        table = tmp_path / "F.bf"
+        ctx = FieldContext(7)
+        f0 = parse(pair[0], ctx)
+        f1 = f0 + parse(pair[1][1:], ctx) if pair[1].startswith("+") else parse(pair[1], ctx)
+        join(f0, f1).save(table)
+        fwht_sizes.clear()
+        assert invoke(runner, ["verify", "--table", str(table)]).output == result.output
+        assert 256 in fwht_sizes
+
+    def test_other_pair_transforms_the_join(self, runner, fwht_sizes):
+        result = invoke(runner, ["verify", "--dim", "8", "--expr-pair", "tr(x^3+x^9)", "+tr(x^3)"])
+        assert result.exit_code == 0
+        assert fwht_sizes == [256]
 
     def test_dim12_table(self, runner, tmp_path, ctx11):
         from bentfn.boolfn import trace_polynomial

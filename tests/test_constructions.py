@@ -36,22 +36,6 @@ from bentfn.tvr import join, linear_form, split
 from helpers import gf_pow
 
 
-@pytest.fixture()
-def fwht_sizes(monkeypatch):
-    """The size of every FWHT that runs while the test does."""
-    import bentfn.spectrum as spectrum
-
-    sizes = []
-    fwht = spectrum._fwht
-
-    def counting_fwht(values):
-        sizes.append(values.size)
-        return fwht(values)
-
-    monkeypatch.setattr(spectrum, "_fwht", counting_fwht)
-    return sizes
-
-
 class TestBentFromNearBent:
     def test_quadratic_seed(self, ctx7):
         f0 = trace_polynomial(ctx7, [3, 9])
@@ -426,10 +410,10 @@ class TestOneSpectrumPerFunction:
         suite = verify_function(F, ctx7)
         assert suite.passed and not suite.skipped
         # 2^8 points: F, which join builds without a spectrum (bent-classification).
-        # 2^7 points: f0 for dual-support; one dual half for each pseudo-dual
-        # that check_pseudo_dual_conditions derives by trace_join; f0 again and
-        # f1 for the zero-set checks, since each split(F) makes fresh components
-        assert sorted(fwht_sizes) == [128] * 5 + [256]
+        # 2^7 points: one dual half for each pseudo-dual that
+        # check_pseudo_dual_conditions derives by trace_join.  dual-support and
+        # the zero-set checks read f0 and f1 with spectra derived from F's
+        assert sorted(fwht_sizes) == [128] * 2 + [256]
 
     @pytest.mark.parametrize("m", [7, 11])
     def test_six_pack_transform_count(self, m, fwht_sizes):
@@ -448,10 +432,11 @@ class TestOneSpectrumPerFunction:
 
         assert run_example(EXAMPLES[1]).passed
         # 2^7 points: the parsed seed (trace_join builds F); in verify_function,
-        # f0 for dual-support, the two dual halves of check_pseudo_dual_conditions,
-        # f0 and f1 for the zero-set checks; the two dual halves of _six_pack_of.
-        # 2^8 points: the duals of _six_pack_of's two pseudo-duals
-        assert sorted(fwht_sizes) == [128] * 8 + [256] * 2
+        # the two dual halves of check_pseudo_dual_conditions (dual-support and
+        # the zero-set checks derive f0 and f1 from F's spectrum); the two dual
+        # halves of _six_pack_of.  2^8 points: the duals of _six_pack_of's two
+        # pseudo-duals
+        assert sorted(fwht_sizes) == [128] * 5 + [256] * 2
 
     @pytest.mark.parametrize("m", [7, 11])
     def test_pseudo_dual_check_transforms_only_halves(self, m, fwht_sizes):
@@ -512,7 +497,7 @@ class TestOneDualAndFlagsPerFunction:
         duals = [dual(bent7, ctx) for ctx in (ctx7, ctx7_alt)]
         flags = [condition_flags(bent7, ctx) for ctx in (ctx7, ctx7_alt)]
         assert duals[0] != duals[1]  # the trace inner product depends on the field
-        # the two fields share one trace table, so the flags are equal but not shared
+        # the two fields have different trace tables, so the flags are not shared
         assert flags[1] is not flags[0]
         for ctx, kept_dual, kept_flags in zip((ctx7, ctx7_alt), duals, flags):
             fresh = BooleanFunction(bent7.m, bent7.table)

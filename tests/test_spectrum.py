@@ -13,12 +13,13 @@ from bentfn.spectrum import (
     _fwht,
     check_nearbent_distribution,
     classify,
+    component,
     dual,
     trace_join,
     walsh,
     walsh_at_field_point,
 )
-from bentfn.tvr import join
+from bentfn.tvr import join, split
 
 from helpers import (
     kronecker_walsh,
@@ -301,9 +302,9 @@ class TestTraceJoin:
     of the same table, on a fresh object, is the oracle."""
 
     @staticmethod
-    def assert_matches_full_transform(c, ctx):
-        F = trace_join(c, ctx)
-        assert F == join(c, c + trace_function(ctx))
+    def assert_matches_full_transform(c, ctx, xi=0):
+        F = trace_join(c, ctx, xi)
+        assert F == join(c, c + trace_function(ctx) + xi)
         derived = walsh(F)
         full = walsh(BooleanFunction(F.m, F.table))
         assert np.array_equal(derived.coeffs, full.coeffs)
@@ -335,6 +336,31 @@ class TestTraceJoin:
         assert ctx.dual_index(1) >> 16 and ctx.dual_index(1) & 0xFFFF
         self.assert_matches_full_transform(random_function(np.random.default_rng(19), 19), ctx)
 
+    @pytest.mark.parametrize("xi", [0, 1])
+    @pytest.mark.parametrize("m", range(5, 14))
+    def test_sign_matches_full_transform(self, m, xi):
+        ctx = FieldContext(m)
+        rng = np.random.default_rng(100 * m + xi)
+        self.assert_matches_full_transform(trace_polynomial(ctx, [3]), ctx, xi)
+        self.assert_matches_full_transform(random_function(rng, m), ctx, xi)
+
+    @pytest.mark.parametrize("xi", [0, 1])
+    def test_sign_under_alternative_polynomial(self, ctx7_alt, xi):
+        # dual_index(1) = 73 here, a translate of several bits
+        rng = np.random.default_rng(71 + xi)
+        self.assert_matches_full_transform(trace_polynomial(ctx7_alt, [13]), ctx7_alt, xi)
+        self.assert_matches_full_transform(random_function(rng, 7), ctx7_alt, xi)
+
+    def test_sign_across_blocks(self):
+        ctx = FieldContext(19)
+        self.assert_matches_full_transform(random_function(np.random.default_rng(191), 19), ctx, 1)
+
+    def test_leaves_an_uncached_half_uncached(self, ctx7, fwht_sizes):
+        c = trace_polynomial(ctx7, [3])
+        F = trace_join(c, ctx7, 1)
+        assert c._spectrum is None and F._spectrum is not None
+        assert fwht_sizes == [128]
+
     def test_dimension_limit(self, ctx5):
         c = BooleanFunction.constant(5, 0)
         c.m = 24  # force the guard: the join would have dimension 25
@@ -344,3 +370,37 @@ class TestTraceJoin:
     def test_dimension_mismatch(self, ctx5):
         with pytest.raises(DimensionMismatch):
             trace_join(BooleanFunction.constant(7, 0), ctx5)
+
+
+class TestComponent:
+    """component derives a half's spectrum from F's; a full FWHT of the half,
+    on a fresh object, is the oracle."""
+
+    @pytest.mark.parametrize("m", [4, 8, 12, 18])
+    def test_matches_full_transform(self, m):
+        rng = np.random.default_rng(m)
+        F = random_function(rng, m)
+        for i, half in enumerate(split(F)):
+            derived = walsh(component(F, i))
+            full = walsh(BooleanFunction(half.m, half.table))
+            assert component(F, i) == half
+            assert np.array_equal(derived.coeffs, full.coeffs)
+            assert derived.classification is full.classification
+            assert derived.histogram == full.histogram
+            assert not derived.coeffs.flags.writeable
+
+    def test_near_bent_halves_of_a_bent_join(self, ctx7):
+        f0 = trace_polynomial(ctx7, [3, 9])
+        F = trace_join(f0, ctx7, 1)
+        for i, half in enumerate(split(F)):
+            derived = walsh(component(F, i))
+            assert derived.classification is Classification.NEAR_BENT
+            assert np.array_equal(derived.coeffs, walsh(half).coeffs)
+
+    def test_transforms_no_half(self, fwht_sizes):
+        F = random_function(np.random.default_rng(5), 10)
+        walsh(F)
+        fwht_sizes.clear()
+        for i in range(2):
+            assert walsh(component(F, i)).classification is Classification.NEITHER
+        assert fwht_sizes == []

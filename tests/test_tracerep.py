@@ -507,6 +507,29 @@ class TestEvaluate:
         assert peak <= 32 << 20, f"{peak / 2**20:.1f} MiB"
         assert table == trace_polynomial(ctx, [3, 5])
 
+    @pytest.mark.parametrize("m", [5, 8, 11])
+    def test_linear_term_plus_constant(self, m):
+        # tr(c x) + b, with c = 1, a non-binary c and the top term x^(2^m - 1)
+        ctx = FieldContext(m)
+        c = int(ctx.antilog_table[m + 2])
+        top = BooleanFunction(m, np.arange(ctx.order) != 0)
+        for b in (0, 1):
+            assert TraceForm(m, b, {1: 1}).evaluate(ctx) == trace_polynomial(ctx, [1]) + b
+            linear = BooleanFunction(m, ctx.linear_form_table(c)) + b
+            assert TraceForm(m, b, {1: c}).evaluate(ctx) == linear
+            assert TraceForm(m, b, {1: c}, 1).evaluate(ctx) == linear + top
+            form = TraceForm(m, b, {1: c, 3: 1}, 1)
+            assert form.evaluate(ctx) == conjugate_loop_evaluate(form, ctx)
+
+    def test_linear_form_reads_no_logs(self):
+        # a form whose only term is tr(c x) needs neither the log table nor a
+        # pass over the exponents, even for a non-binary c
+        ctx = FieldContext(9)
+        form = TraceForm(9, 1, {1: int(ctx.antilog_table[5])}, 1)
+        table = form.evaluate(ctx)
+        assert ctx._log_table is None
+        assert table == conjugate_loop_evaluate(form, ctx)
+
     @pytest.mark.parametrize("leader", [9, 21])
     def test_coefficient_outside_subfield_rejected(self, leader):
         # m = 6: the coset of 9 has size 3 (m/size even), that of 21 size 2
