@@ -36,9 +36,10 @@ class BooleanFunction:
 
     __slots__ = ("m", "_table", "_spectrum", "_dual", "_flags")
 
-    def __init__(self, m: int, table):
-        # a private copy, so later writes to the caller's array cannot reach it
-        arr = np.array(table, dtype=np.uint8)
+    def __init__(self, m: int, table, *, copy: bool = True):
+        # a private copy, so later writes to the caller's array cannot reach it;
+        # copy=False takes over a fresh uint8 array that its maker no longer writes
+        arr = np.array(table, dtype=np.uint8, copy=copy)
         if m < 1:
             raise ValueError(f"dimension must be positive, got {m}")
         if arr.shape != (1 << m,):

@@ -23,9 +23,15 @@ cost rule, counted in summation terms (one leader times one support point):
 summing over k leaders costs k * |supp|, and the Moebius transform and the
 FFT cost m and m^2 NumPy passes over the table, each a quarter of a term per
 entry plus 512 terms for the call itself (``_pass_cost``).  It takes the
-degree only where summing over all leaders would cost more than the Moebius
-transform, then sums over the leaders left where that costs no more than the
-FFT, and runs the FFT otherwise.
+degree only where the most that could save exceeds the cost of the Moebius
+transform.  By Ax's theorem the weight of a degree-d function is divisible by
+2^(ceil(m/d) - 1), so a table of weight w, with 2^v the largest power of 2
+dividing w, has degree at least ceil(m/(v + 1)), and the degree cannot drop
+the leaders of weight up to that bound.  The saving is at most the cost of
+summing over all leaders less that of summing over those, each capped at the
+FFT's: an odd weight gives none, and at m = 9 a weight of 2 mod 4 gives less
+than the transform costs.  It then sums over the leaders left where that costs
+no more than the FFT, and runs the FFT otherwise.
 
 The constants were measured on one core of a 2-vCPU Xeon VM, where a
 summation term takes about 6 ns, an FFT entry per pass about 1.5 ns, and a
@@ -38,10 +44,26 @@ m = 13, the degree step included, against 3.2 ms for the FFT.  The degree-5
 Kasami-Welch form tr(x^241) is summed at m = 11 (94 leaders: 0.8 against
 1.0 ms) and transformed at m = 13 (184 leaders: 6.4 against 2.6 ms).
 
-Either way the form is then evaluated back, in O(n^2/m) for a dense form, and
-must reproduce the input exactly, so a wrong degree cannot give a wrong form.
-Forms are compared coset-wise, so listings that use a non-leader exponent
-(tr(x^a) = tr(x^2a)) normalize to the same object.
+Either way the form is then evaluated back and must reproduce the input
+exactly, so a wrong degree cannot give a wrong form.  Forms are compared
+coset-wise, so listings that use a non-leader exponent (tr(x^a) = tr(x^2a))
+normalize to the same object.
+
+``TraceForm.evaluate`` has two evaluators.  The exponent path serves every
+form: one pass over the 2^m - 1 exponents per term, an int64 multiply and
+remainder and a gather from the antilog table, so O(n^2/m) for a dense form.
+A form of degree at most 2 with no top coefficient, the paper's quadratic
+family with its duals and pseudo-duals, is fixed by its values at 0, at the
+basis points e_k = alpha^k and by its bilinear form, so the doubling path
+fills the table level by level from exponent arithmetic on the alpha^i, in
+O(2^m) byte XORs and m(m+1)/2 NumPy calls.  The doubling path runs where it
+is the cheaper of the two by one cost rule in ``_pass_cost`` units: the
+exponent path costs about 5 passes per summed term plus 8, the doubling path
+about 40 NumPy calls of set-up, half a call per level slice and an eighth of a
+pass entry per byte.  Measured on one core of the same VM (doubling against
+exponents), tr(x^3) takes 0.14 ms either way at m = 13, then 0.16 against
+0.24 ms at m = 14 and 0.29 against 10.5 ms at m = 19.  Four quadratic terms
+and a linear one cross over at m = 12, and take 2.5 against 560 ms at m = 23.
 
 ``trace_forms`` serves several tables over one field, such as the components
 of a six-pack, which the construction join(f0, f0 + tr + xi) keeps in few
@@ -157,14 +179,15 @@ class TraceForm:
     def evaluate(self, ctx: FieldContext) -> BooleanFunction:
         """Truth table of the form; exact inverse of ``to_trace_form``.
 
-        The term of leader 1, tr(c x), is the linear form table of c
-        (``FieldContext.linear_form_table``), XORed in last; a form with no
-        other term makes no pass over the field's logs.  Any other coset of
-        size s contributes tr_s(c x^l), with c in GF(2^s).  Since c x^l lies
-        in GF(2^s), tr_m(c x^l) = (m/s) tr_s(c x^l), so every term with m/s
-        odd is summed as a field element and traced once; only cosets with m/s
-        even (possible for even m) expand their s conjugates.  O(n^2/m) for a
-        dense form, n = 2^m - 1.
+        Each coset of size s contributes tr_s(c x^l), with c in GF(2^s); a
+        coefficient outside that subfield raises ``NotBooleanConsistent``
+        before any table is built.  Two evaluators, picked by cost in
+        ``_pass_cost`` units from m and the terms (module docstring):
+
+        - ``_exponent_table``, for any form: one pass over the 2^m - 1
+          exponents per term, O(n^2/m) for a dense form, n = 2^m - 1;
+        - ``_quadratic_table``, for a form of degree at most 2 with no top
+          coefficient: doubling over the polynomial basis, O(2^m) byte XORs.
         """
         if ctx.m != self.m:
             raise DimensionMismatch(f"ctx.m={ctx.m} does not match form dimension {self.m}")
@@ -183,28 +206,14 @@ class TraceForm:
                                        f"is outside GF(2^{sizes[i]})")
         terms = [(leader, log_c, size) for leader, coeff, log_c, size
                  in zip(leaders, coeffs.tolist(), logs.tolist(), sizes) if coeff]
-        table = np.full(ctx.order, self.constant, dtype=np.uint8)
-        table[1:] ^= self.top_coeff
-        # in blocks of exponents, so every temporary stays block-sized; no
-        # block at all when the linear term is the only one
-        for start in range(0, n if terms else 0, _BLOCK):
-            exps = np.arange(start, min(start + _BLOCK, n), dtype=np.int64)
-            block_sum = np.zeros(exps.size, dtype=np.int32)
-            block_bits = np.zeros(exps.size, dtype=np.int32)
-            for leader, log_c, size in terms:
-                logs = exps * leader
-                logs += log_c
-                logs %= n
-                if (self.m // size) % 2:
-                    block_sum ^= ctx.antilog_table[logs]
-                else:
-                    for k in range(size):
-                        block_bits ^= ctx.antilog_table[(logs << k) % n]
-            block_bits ^= ctx.trace_table[block_sum] ^ (self.constant ^ self.top_coeff)
-            table[ctx.antilog_table[start : start + _BLOCK]] = block_bits
-        if self.terms.get(1):
-            table ^= ctx.linear_form_table(self.terms[1])
-        return BooleanFunction(self.m, table)
+        linear = self.terms.get(1, 0)
+        quadratic = not self.top_coeff and all(  # every leader 2^j + 1
+            leader & 1 and leader.bit_count() == 2 for leader, _, _ in terms)
+        if quadratic and _doubling_cost(self.m) < _exponent_cost(self.m, terms):
+            table = _quadratic_table(ctx, self.constant, terms, linear)
+        else:
+            table = _exponent_table(ctx, self.constant, self.top_coeff, terms, linear)
+        return BooleanFunction(self.m, table, copy=False)
 
     def as_dict(self, ctx: FieldContext | None = None) -> dict:
         entries = []
@@ -231,6 +240,99 @@ class TraceForm:
 
     def __repr__(self) -> str:
         return f"TraceForm({format_trace_form(self)!r}, m={self.m})"
+
+
+def _exponent_cost(m: int, terms) -> int:
+    """Cost of ``_exponent_table``, in summation terms (``_pass_cost``): about
+    5 passes over the field per conjugate it sums and 8 for the rest of each
+    block.  With no term but the linear one it makes no block at all."""
+    summed = sum(1 if (m // size) % 2 else size for _, _, size in terms)
+    return (5 * summed + 8) * _pass_cost(m) if terms else 0
+
+
+def _doubling_cost(m: int) -> int:
+    """Cost of ``_quadratic_table``, in summation terms: about 40 NumPy calls of
+    set-up, m(m+1)/2 level calls on short byte slices at half a call each, and
+    2^(m+1) byte XORs at an eighth of a pass entry each (module docstring)."""
+    return (m * (m + 1) // 4 + 40) * _pass_cost(0) + (2 << m) // 32
+
+
+def _exponent_table(ctx: FieldContext, constant: int, top: int, terms, linear: int) -> np.ndarray:
+    """Truth table of constant + top x^n + tr(linear x) + the ``terms``, as
+    (leader, log c, coset size) triples, in one pass over the 2^m - 1
+    exponents per summed term.
+
+    tr(linear x) is the linear form table (``FieldContext.linear_form_table``),
+    XORed in last; a form with no other term makes no pass over the exponents.
+    Since c x^l lies in GF(2^s), tr_m(c x^l) = (m/s) tr_s(c x^l), so every term
+    with m/s odd is summed as a field element and traced once; only cosets
+    with m/s even (possible for even m) expand their s conjugates.
+    """
+    n = ctx.order - 1
+    table = np.full(ctx.order, constant, dtype=np.uint8)
+    table[1:] ^= top
+    # in blocks of exponents, so every temporary stays block-sized; no
+    # block at all when the linear term is the only one
+    for start in range(0, n if terms else 0, _BLOCK):
+        exps = np.arange(start, min(start + _BLOCK, n), dtype=np.int64)
+        block_sum = np.zeros(exps.size, dtype=np.int32)
+        block_bits = np.zeros(exps.size, dtype=np.int32)
+        for leader, log_c, size in terms:
+            logs = exps * leader
+            logs += log_c
+            logs %= n
+            if (ctx.m // size) % 2:
+                block_sum ^= ctx.antilog_table[logs]
+            else:
+                for k in range(size):
+                    block_bits ^= ctx.antilog_table[(logs << k) % n]
+        block_bits ^= ctx.trace_table[block_sum] ^ (constant ^ top)
+        table[ctx.antilog_table[start : start + _BLOCK]] = block_bits
+    if linear:
+        table ^= ctx.linear_form_table(linear)
+    return table
+
+
+def _quadratic_table(ctx: FieldContext, constant: int, terms, linear: int) -> np.ndarray:
+    """Truth table of F = constant + Q + tr(linear x), Q the sum of the
+    ``terms`` tr_s(c x^(2^j + 1)) as (leader, log c, coset size) triples, by
+    doubling over the polynomial basis e_k = alpha^k, bit k of the index.
+
+    Q is quadratic, so for y < 2^k, F(e_k + y) = F(y) + q_k + B(y, e_k), with
+    q_k = F(e_k) + F(0) and B(x, y) = Q(x + y) + Q(x) + Q(y) bilinear (Carlet,
+    *Boolean Functions for Cryptography and Coding Theory*, CUP 2021, ch. 5).
+    For tr(c x^l), l = 2^j + 1 and log c = lambda, q_k = tr(alpha^(lambda + k l))
+    and B(e_i, e_k) = tr(alpha^(lambda + i + 2^j k)) + tr(alpha^(lambda + 2^j i + k)).
+    For the coset of size m/2 (j = m/2), tr_(m/2)(c x^l) has B(e_i, e_k) =
+    tr(alpha^(lambda + i + 2^j k)) alone, and q_k is the sum of the m/2
+    conjugates.  Level k fills table[2^k:2^(k+1)] with q_k + B(y, e_k) by
+    doubling over the bits i < k of y, then XORs in table[:2^k]: O(2^m) byte
+    XORs in m(m+1)/2 NumPy calls, and no array but the table is field-sized.
+    """
+    m, n = ctx.m, ctx.order - 1
+    alog, trace = ctx.antilog_table, ctx.trace_table
+    k = np.arange(m, dtype=np.int64)
+    # one row per term: leader l, log c, coset size and j, each of shape (terms, 1)
+    leader, log_c, size, j = np.array([(*term, term[0].bit_length() - 1) for term in terms],
+                                      dtype=np.int64).reshape(-1, 4, 1).transpose(1, 0, 2)
+    full = (size == m).ravel()
+    values = (log_c + k * leader) % n  # log of c alpha^(k l), per term and k
+    # tr(c x^l) = 0 on the coset of size m/2, whose q_k is its conjugate sum instead
+    q = np.bitwise_xor.reduce(trace[alog[values]], axis=0) ^ (ctx.dual_index(linear) >> k) & 1
+    for value in values[~full]:
+        q ^= np.bitwise_xor.reduce(alog[(value[:, None] << k[: m // 2]) % n], axis=1)
+    # tr(alpha^(lambda + i + 2^j k)) at [term, i, k]
+    cross = trace[alog[(log_c[..., None] + k[:, None] + (k << j[..., None])) % n]]
+    bilinear = np.bitwise_xor.reduce(cross, axis=0) ^ np.bitwise_xor.reduce(cross[full], axis=0).T
+    table = np.empty(ctx.order, dtype=np.uint8)
+    table[0] = constant
+    for level, (q_k, column) in enumerate(zip(q.tolist(), bilinear.T.tolist())):
+        high = table[1 << level : 2 << level]
+        high[0] = q_k
+        for i in range(level):
+            np.bitwise_xor(high[: 1 << i], column[i], out=high[1 << i : 2 << i])
+        high ^= table[: 1 << level]
+    return table
 
 
 def _additive_interpolation(f: BooleanFunction, ctx: FieldContext) -> np.ndarray:
@@ -304,13 +406,20 @@ def _plan(f: BooleanFunction, ctx: FieldContext, weight: int) -> tuple[str, np.n
     its name and the coset leaders to sum over, or None for the additive FFT."""
     m = ctx.m
     leaders = coset_leaders(m)
+    moebius, fft = m * _pass_cost(m), m * m * _pass_cost(m)
     name = "leader summation"
-    if leaders.size * weight > m * _pass_cost(m):
-        degree = f.degree()
-        if degree < m - 1:  # every exponent below 2^m - 1 has weight at most m - 1
-            name = f"leader summation to degree {degree}"
-            leaders = leaders[np.bitwise_count(leaders) <= degree]
-    if leaders.size * weight > m * m * _pass_cost(m):
+    # the degree saves at most the summation over the leaders it drops.  By Ax it
+    # is at least ceil(m / (v + 1)), 2^v the largest power of 2 dividing the
+    # weight, so it can drop no leader of weight up to that bound
+    if leaders.size * weight > moebius:
+        floor = -(-m // ((weight & -weight).bit_length()))
+        low = np.count_nonzero(np.bitwise_count(leaders) <= floor)
+        if min(leaders.size * weight, fft) - min(low * weight, fft) > moebius:
+            degree = f.degree()
+            if degree < m - 1:  # every exponent below 2^m - 1 has weight at most m - 1
+                name = f"leader summation to degree {degree}"
+                leaders = leaders[np.bitwise_count(leaders) <= degree]
+    if leaders.size * weight > fft:
         return "additive FFT", None
     return name, leaders
 

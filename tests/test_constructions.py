@@ -455,6 +455,31 @@ class TestOneSpectrumPerFunction:
         with pytest.raises(DerivativeNotConstant, match="^unit derivative not constant$"):
             check_spectrum_zero_set(f, ctx7)
 
+    @pytest.mark.parametrize(("exponent", "xi", "calls"), [
+        (13, 1, []),  # D1 f0, D1 f1 not constant, xi = 1: no half is derived
+        (13, 0, [0]),  # only dual-support reads f0
+        (3, 0, [0, 0, 1]),  # dual-support reads f0, then each zero-set check its half
+        (3, 1, [0, 1]),
+    ])
+    def test_zero_set_checks_derive_a_half_only_past_the_derivative(
+            self, ctx7, monkeypatch, exponent, xi, calls):
+        import bentfn.constructions as constructions
+
+        derived = []
+        derive = constructions.component
+        monkeypatch.setattr(constructions, "component",
+                            lambda F, i: derived.append(i) or derive(F, i))
+        f0 = trace_polynomial(ctx7, [exponent])
+        suite = verify_function(join(f0, f0 + trace_function(ctx7) + xi), ctx7)
+        assert suite.passed
+        assert derived == calls
+        refused = [(s.name, s.reason) for s in suite.skipped
+                   if s.name.startswith("spectrum-zero-set")]
+        assert refused == ([] if exponent == 3 else [
+            ("spectrum-zero-set-f0", "unit derivative not constant"),
+            ("spectrum-zero-set-f1", "unit derivative not constant"),
+        ])
+
 
 @pytest.fixture()
 def derived(monkeypatch):

@@ -413,6 +413,35 @@ class TestDegreeBound:
         assert f" by leader summation to degree {degree(f) - 1} in " in record.getMessage()
 
 
+    # Ax: 2 || w gives degree >= ceil(m/2), so at m = 9 the degree could drop at
+    # most the 15 leaders of weight 6..8; an odd weight gives degree m, and at
+    # m = 13 the FFT costs less than summing over every leader
+    @pytest.mark.parametrize("m, residue, algorithm", [(9, 2, "leader summation"),
+                                                       (13, 1, "additive FFT")])
+    def test_weight_bound_skips_the_degree(self, m, residue, algorithm, monkeypatch, caplog):
+        ctx = FieldContext(m)
+        rng = np.random.default_rng(101 + m)
+        f = random_function(rng, m)
+        while f.weight() % 4 != residue:
+            f = random_function(rng, m)
+        plans = forced_plans(ctx)
+        expected = {"leader summation": plans["leader summation"],
+                    "additive FFT": plans["additive FFT"]}[algorithm]
+        monkeypatch.setattr(tracerep, "_plan", expected)
+        form = to_trace_form(f, ctx)
+        monkeypatch.undo()
+
+        def no_degree(self):
+            raise AssertionError("degree called")
+
+        monkeypatch.setattr(BooleanFunction, "degree", no_degree)
+        caplog.set_level(logging.DEBUG, logger="bentfn.tracerep")
+        assert to_trace_form(f, ctx) == form
+        (record,) = tracerep_records(caplog)
+        assert record.getMessage().split(" in ")[0] == (
+            f"interpolated over GF(2^{m}) by {algorithm}")
+
+
 class TestTraceForm:
     def test_canonical_term_map(self, ctx7):
         tf = to_trace_form(parse("tr(x^7+x^11+x^19+x^21)", ctx7), ctx7)
@@ -494,10 +523,11 @@ class TestEvaluate:
             assert form.evaluate(ctx) == conjugate_loop_evaluate(form, ctx)
 
     def test_temporaries_stay_small_at_m21(self):
-        # the 2^21-point table is 2 MiB; whole-size int64 temporaries peaked at 80 MiB
+        # the 2^21-point table is 2 MiB; whole-size int64 temporaries peaked at
+        # 80 MiB.  A cubic form, so the blocks of exponents are what is measured
         ctx = FieldContext(21)
         ctx.log_table  # built on first use, not part of the evaluation
-        form = TraceForm(21, 0, {3: 1, 5: 1})
+        form = TraceForm(21, 0, {3: 1, 7: 1})
         tracemalloc.start()
         try:
             table = form.evaluate(ctx)
@@ -505,7 +535,71 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert peak <= 32 << 20, f"{peak / 2**20:.1f} MiB"
-        assert table == trace_polynomial(ctx, [3, 5])
+        assert table == trace_polynomial(ctx, [3, 7])
+
+    @pytest.mark.parametrize("m", range(3, 15))
+    @pytest.mark.parametrize("path", ["doubling", "exponents"])
+    def test_quadratic_forms_match_conjugate_loop(self, m, path, monkeypatch):
+        # each path forced through the cost rule; even m has the coset of
+        # 2^(m/2) + 1, of size m/2, with a coefficient from GF(2^(m/2))
+        monkeypatch.setattr(tracerep, "_doubling_cost",
+                            lambda m: -1 if path == "doubling" else 1 << 62)
+        ctx = FieldContext(m)
+        rng = np.random.default_rng(113 + m)
+        chosen = tracerep._quadratic_table
+        calls = []
+        monkeypatch.setattr(tracerep, "_quadratic_table",
+                            lambda *args: calls.append(1) or chosen(*args))
+        for _ in range(20):
+            form = form_of_degree(rng, ctx, 2)
+            assert form.evaluate(ctx) == conjugate_loop_evaluate(form, ctx), form
+        assert len(calls) == (20 if path == "doubling" else 0)
+
+    @pytest.mark.parametrize("m, form, doubling", [
+        (11, TraceForm(11, 0, {3: 1, 5: 1, 9: 1, 17: 1, 1: 1}), False),
+        (13, TraceForm(13, 0, {3: 1}), False),
+        (13, TraceForm(13, 1, {3: 1, 5: 1}), True),
+        (15, TraceForm(15, 0, {3: 1}), True),
+        (15, TraceForm(15, 0, {3: 1, 7: 1}), False),  # cubic
+        (15, TraceForm(15, 0, {3: 1}, 1), False),  # a top coefficient
+        (15, TraceForm(15, 1, {1: 1}), False),  # affine
+    ])
+    def test_cost_rule_picks_the_path(self, m, form, doubling, monkeypatch):
+        ctx = FieldContext(m)
+        chosen = tracerep._quadratic_table
+        calls = []
+        monkeypatch.setattr(tracerep, "_quadratic_table",
+                            lambda *args: calls.append(1) or chosen(*args))
+        assert form.evaluate(ctx) == conjugate_loop_evaluate(form, ctx)
+        assert len(calls) == doubling
+
+    def test_five_term_quadratic_form_at_m19(self):
+        ctx = FieldContext(19)
+        form = TraceForm(19, 0, {1: 1, 3: 1, 5: 1, 9: 1, 17: 1})
+        assert form.evaluate(ctx) == trace_polynomial(ctx, [1, 3, 5, 9, 17])
+
+    def test_binary_quadratic_form_reads_no_logs(self):
+        ctx = FieldContext(13)
+        form = TraceForm(13, 1, {1: 1, 3: 1, 5: 1, 9: 1})
+        table = form.evaluate(ctx)
+        assert ctx._log_table is None
+        assert table == trace_polynomial(ctx, [1, 3, 5, 9]) + 1
+
+    def test_quadratic_form_allocates_only_its_table_at_m21(self):
+        # the doubling allocates the 2 MiB table, which the function takes over;
+        # a copy would add 2 MiB, per-level index or parity temporaries 4 MiB
+        ctx = FieldContext(21)
+        ctx.log_table  # built on first use, not part of the evaluation
+        c = int(ctx.antilog_table[5])
+        form = TraceForm(21, 1, {1: c, 3: 1, 5: c, 9: 1, 33: c})
+        tracemalloc.start()
+        try:
+            table = form.evaluate(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << 21) + (64 << 10), f"{peak / 2**20:.3f} MiB"
+        assert table == conjugate_loop_evaluate(form, ctx)
 
     @pytest.mark.parametrize("m", [5, 8, 11])
     def test_linear_term_plus_constant(self, m):
