@@ -21,7 +21,7 @@ _HEX_LINE_WIDTH = 64
 
 
 def _xor_butterfly(table: np.ndarray) -> np.ndarray:
-    # in-place fast Moebius transform; same schedule as the Walsh butterfly
+    # in-place fast Moebius transform, level by level on the natural layout
     size = table.size
     h = 1
     while h < size:
@@ -38,7 +38,7 @@ class BooleanFunction:
 
     def __init__(self, m: int, table, *, copy: bool = True):
         # a private copy, so later writes to the caller's array cannot reach it;
-        # copy=False takes over a fresh uint8 array that its maker no longer writes
+        # copy=False takes over a uint8 array nothing writes again (fresh, or split's view)
         arr = np.array(table, dtype=np.uint8, copy=copy)
         if m < 1:
             raise ValueError(f"dimension must be positive, got {m}")
@@ -120,7 +120,7 @@ class BooleanFunction:
         return None
 
     def anf(self) -> "Anf":
-        return Anf(self.m, _xor_butterfly(self._table.copy()))
+        return Anf(self.m, _xor_butterfly(self._table.copy()), copy=False)
 
     def degree(self) -> int:
         return self.anf().degree()
@@ -185,8 +185,9 @@ class Anf:
 
     __slots__ = ("m", "coefficients")
 
-    def __init__(self, m: int, coefficients):
-        arr = np.ascontiguousarray(coefficients, dtype=np.uint8)
+    def __init__(self, m: int, coefficients, *, copy: bool = True):
+        # a private copy, as BooleanFunction takes; copy=False takes over a fresh array
+        arr = np.array(coefficients, dtype=np.uint8, copy=copy)
         if arr.shape != (1 << m,):
             raise ValueError(f"coefficient vector must have 2^{m} entries")
         arr.setflags(write=False)

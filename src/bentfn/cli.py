@@ -293,7 +293,7 @@ def _emit_generated(F, ctx, family, params, out, as_json, timestamps, filename, 
     """Saves F and reports it; f0's form comes from the seed's expression text,
     and is interpolated only if f0 is not in that text's class."""
     path = Path(out) / filename
-    F.save(path)
+    _save_all({path: F})
     f0, _ = split(F)
     known = []
     _parsed(seed, ctx, known)

@@ -25,7 +25,7 @@ from .errors import (
     NotNearBent,
 )
 from .gf2m import FieldContext, coset_leader
-from .spectrum import Classification, component, dual, trace_join, walsh
+from .spectrum import Classification, dual, field_mask, trace_join, walsh
 from .tracerep import TraceForm
 from .tvr import join, linear_form, split
 
@@ -228,6 +228,12 @@ class VerificationSuite:
 # constructions
 
 
+def _require_bent(F: BooleanFunction) -> None:
+    classification = walsh(F).classification
+    if classification is not Classification.BENT:
+        raise NotBent(f"function is {classification.value}, not bent")
+
+
 def _require_near_bent(f0: BooleanFunction, what: str = "input"):
     spectrum = walsh(f0)
     if spectrum.classification is not Classification.NEAR_BENT:
@@ -325,17 +331,14 @@ def _require_xi_zero(F: BooleanFunction, ctx: FieldContext) -> ConditionFlags:
 def dual_support_analysis(F: BooleanFunction, ctx: FieldContext) -> DualSupportReport:
     """Predict the dual components' supports from the first component spectrum.
 
-    Requires F bent with component sum exactly tr.
+    Requires F bent (so f0 is near-bent, and S is where its coefficient is negative)
+    with component sum exactly tr.
     """
     _require_xi_zero(F, ctx)
-    t = F.m // 2
-    # compare on the coordinate-indexed spectrum, then gather the masks by field point
-    coeffs, perm = walsh(component(F, 0)).coeffs, ctx.dual_perm()
-
-    s = (coeffs == -(1 << t))[perm]
-    s1 = s.reshape(-1, 2)[:, ::-1].ravel()  # s1[x] = s[x ^ 1], with no index array
-    g = BooleanFunction(ctx.m, (coeffs == 0)[perm])
     d0, d1 = split(dual(F, ctx))
+    s = field_mask(F, ctx, -1, half=0)
+    s1 = s.reshape(-1, 2)[:, ::-1].ravel()  # s1[x] = s[x ^ 1], with no index array
+    g = BooleanFunction(ctx.m, field_mask(F, ctx, 0, half=0), copy=False)
 
     items = [
         CheckItem("first-dual-support-is-S-union-S1", bool(np.array_equal(d0.table, s | s1))),
@@ -424,23 +427,19 @@ def check_spectrum_zero_set(f: BooleanFunction, ctx: FieldContext,
     """A near-bent function with constant unit derivative w has spectrum zeros
     exactly at the points u with tr(u) = 1 - w.
 
-    With ``half`` = i the check reads component i of the even-dimensional
-    ``f``.  It tests that half's unit derivative first, and only then derives
-    the half's spectrum from f's (``spectrum.component``), so a component that
-    fails the precondition derives nothing.
+    With ``half`` = i the check reads component i of ``f``, which must be bent
+    (NotBent otherwise), so that its components are near-bent.  It tests the
+    half's unit derivative first, and only then reads the half's zero set off
+    f's spectrum (``spectrum.field_mask``): a refused half reads nothing.
     """
-    if half is not None:
-        joined, size = f, 1 << (f.m - 1)
-        f = BooleanFunction(f.m - 1, f.table[half * size : (half + 1) * size])
-    if f.m != ctx.m:
-        raise DimensionMismatch(f"f.m={f.m} does not match ctx.m={ctx.m}")
-    omega = f.derivative(1).is_constant()
+    fi = f if half is None else split(f)[half]
+    if fi.m != ctx.m:
+        raise DimensionMismatch(f"f.m={fi.m} does not match ctx.m={ctx.m}")
+    omega = fi.derivative(1).is_constant()
     if omega is None:
         raise DerivativeNotConstant("unit derivative not constant")
-    if half is not None:
-        f = component(joined, half)
-    _require_near_bent(f)
-    zero_set = (walsh(f).coeffs == 0)[ctx.dual_perm()]  # compare, then gather by field point
+    (_require_near_bent if half is None else _require_bent)(f)
+    zero_set = field_mask(f, ctx, 0, half)
     expected = (ctx.trace_table == (1 ^ omega))
     match = bool(np.array_equal(zero_set, expected))
     witness = None if match else int(np.nonzero(zero_set != expected)[0][0])
@@ -455,9 +454,7 @@ def check_component_derivative_pairing(F: BooleanFunction, ctx: FieldContext) ->
     """For bent F: the component unit derivatives are constant together, with
     complementary values; the derivative in direction (0, 1) is balanced and
     equals the component sum on both halves."""
-    spectrum = walsh(F)
-    if spectrum.classification is not Classification.BENT:
-        raise NotBent(f"function is {spectrum.classification.value}, not bent")
+    _require_bent(F)
     f0, f1 = split(F)
     w0 = condition_flags(F, ctx).d1_f0
     w1 = f1.derivative(1).is_constant()
@@ -629,7 +626,7 @@ def pseudo_dual_collision_demo(ctx: FieldContext | None = None) -> CollisionRepo
 
 # The checks after bent-classification, in report order, each reported under its name
 # here.  A lambda looks its checker up when called, so a rebinding (a tracer) is seen.
-# The zero-set checks read each component, its spectrum derived from F's.
+# The zero-set checks need F bent, which bent-classification has established.
 _CHECKS = (
     ("component-derivative-pairing", lambda F, ctx: check_component_derivative_pairing(F, ctx)),
     ("dual-unit-derivatives", lambda F, ctx: check_dual_unit_derivatives(F, ctx)),

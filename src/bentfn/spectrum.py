@@ -11,17 +11,18 @@ dual there once per field, as ``condition_flags`` keeps its flags.  Joins with
 the trace are not transformed: :func:`trace_join` derives the spectrum of
 join(c, c + tr + xi) from the half-size one of c, for a six-pack's base, every
 pseudo-dual, and a CLI pair whose halves differ by tr or tr + 1.  Nor are the
-components of a transformed join: :func:`component` derives a half's spectrum
-from the joined one, for the checks that read it, and the half takes it away
-with it.  ``trace_join`` keeps no spectrum on c that ``walsh(c)`` did not.
+components of a transformed join: the checks that read a component's spectrum
+read only its signs, and :func:`field_mask` reads those off the joined one.
+``trace_join`` keeps no spectrum on c that ``walsh(c)`` did not.
 
 Up to ``_FWHT_BLOCK`` (2^16) points the butterfly runs its upper levels on the
 natural layout and its lower levels on one transposed copy, so no level works
 on runs shorter than 2^(m//2) entries.  Above that it transforms each block of
 ``_FWHT_BLOCK`` entries in turn, in cache, and then runs the upper levels on
 contiguous copies of ``_STRIP`` (2^12) columns of the blocks, one strip at a
-time.  :func:`dual` compares the coefficients before it reindexes them by field
-point, so its gather through ``dual_perm`` moves bytes, not int32 values.
+time.  :func:`field_mask`, and :func:`dual` through it, compares the
+coefficients before it reindexes them by field point, so its gather through
+``dual_perm`` moves bytes, not int32 values.
 """
 
 from __future__ import annotations
@@ -193,20 +194,27 @@ def trace_join(c: BooleanFunction, ctx: FieldContext, xi: int = 0) -> BooleanFun
     return F
 
 
-def component(F: BooleanFunction, i: int) -> BooleanFunction:
-    """The component F(., i) of F, with its spectrum derived from F's instead of transformed.
+def field_mask(F: BooleanFunction, ctx: FieldContext, sign: int,
+               half: int | None = None) -> np.ndarray:
+    """0/1 table over field points: where F's Walsh coefficient is negative
+    (``sign`` -1) or zero (``sign`` 0).
 
-    The coefficients of F at (u, 0) and (u, 1) are W_f0(u) + W_f1(u) and
-    W_f0(u) - W_f1(u), so W_fi(u) is their sum or difference halved.  The
-    component is a new object each call, and its spectrum dies with it.
+    For F on GF(2^m) x GF(2) the table has one block for each half of F's
+    spectrum; for F on GF(2^m) alone it has one.  With ``half`` = i it has the
+    one block of the component F(., i), whose coefficient at u is
+    (W_F(u, 0) + (-1)^i W_F(u, 1))/2: its sign is read off the sum, and no half
+    spectrum is built.
     """
-    w = walsh(F).coeffs
-    n = w.size // 2
-    coeffs = (np.subtract if i else np.add)(w[:n], w[n:])
-    coeffs >>= 1  # exact: both sums are even
-    fi = BooleanFunction(F.m - 1, F.table[i * n : (i + 1) * n])
-    fi._spectrum = _spectrum(coeffs, fi.m)
-    return fi
+    if F.m - ctx.m not in ((0, 1) if half is None else (1,)):
+        raise DimensionMismatch(f"field has dimension {ctx.m}, function has dimension {F.m}")
+    compare = {-1: np.less, 0: np.equal}[sign]
+    blocks = walsh(F).coeffs.reshape(-1, ctx.order)
+    if half is not None:
+        blocks = (np.subtract if half else np.add)(blocks[0], blocks[1])[None]
+    table = np.empty(blocks.shape, dtype=np.uint8)
+    for block, coeffs in zip(table, blocks):
+        block[...] = compare(coeffs, 0)[ctx.dual_perm()]
+    return table.ravel()
 
 
 def classify(obj) -> Classification:
@@ -260,10 +268,5 @@ def dual(F: BooleanFunction, ctx: FieldContext) -> BooleanFunction:
         spectrum = walsh(F)
         if spectrum.classification is not Classification.BENT:
             raise NotBent(f"function is {spectrum.classification.value}, not bent")
-        t = F.m // 2
-        perm = ctx.dual_perm()
-        table = np.empty((2, ctx.order), dtype=np.uint8)
-        for half, coeffs in zip(table, spectrum.coeffs.reshape(2, ctx.order)):
-            half[...] = (coeffs == -(1 << t))[perm]
-        F._dual = (ctx, BooleanFunction(F.m, table.ravel()))
+        F._dual = (ctx, BooleanFunction(F.m, field_mask(F, ctx, -1), copy=False))
     return F._dual[1]

@@ -27,12 +27,11 @@ def join(f0: BooleanFunction, f1: BooleanFunction) -> BooleanFunction:
 
 
 def split(F: BooleanFunction) -> tuple[BooleanFunction, BooleanFunction]:
-    """The components (f0, f1) of an even-dimensional function: its two halves."""
+    """The components (f0, f1) of an even-dimensional function: read-only views
+    of the two halves of F's table, which they keep alive."""
     if F.m % 2:
         raise OddDimension(f"cannot split a function of odd dimension {F.m}")
-    half_m = F.m - 1
-    half = 1 << half_m
-    return BooleanFunction(half_m, F.table[:half]), BooleanFunction(half_m, F.table[half:])
+    return tuple(BooleanFunction(F.m - 1, half, copy=False) for half in F.table.reshape(2, -1))
 
 
 def inner_product(ctx: FieldContext, a: int, eta: int, x: int, nu: int) -> int:

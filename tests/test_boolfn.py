@@ -122,6 +122,17 @@ class TestAnf:
     def test_matches_subset_sums(self, f):
         assert np.array_equal(f.anf().coefficients, naive_mobius(f))
 
+    def test_the_callers_array_stays_writable_and_independent(self):
+        from bentfn.boolfn import Anf
+
+        a = np.zeros(8, np.uint8)
+        anf = Anf(3, a)
+        assert a.flags.writeable and not anf.coefficients.flags.writeable
+        assert not np.shares_memory(a, anf.coefficients)
+        a[7] = 1
+        assert anf.degree() == 0
+        assert Anf(3, a).degree() == 3
+
     def test_degree_constants(self):
         assert BooleanFunction.constant(4, 0).degree() == 0
         assert BooleanFunction.constant(4, 1).degree() == 0

@@ -2,6 +2,7 @@ import json
 import logging
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +314,22 @@ class TestGenerate:
         assert payload["degree"] == 2
         assert payload["classification"] == "bent"
         assert BooleanFunction.load(payload["file"]).m == 8
+
+    def test_failed_write_leaves_no_file(self, runner, tmp_path, monkeypatch):
+        write_bytes = Path.write_bytes
+
+        def half_write(path, data):
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_write)
+        result = invoke(
+            runner, ["generate", "quadratic", "--t", "4", "--j", "1,3", "--out", str(tmp_path)]
+        )
+        assert_failure(result, 2, "error")
+        assert "No space left on device" in result.stderr
+        # neither the truncated target nor its .part sibling is left behind
+        assert list(tmp_path.iterdir()) == []
 
     def test_quadratic_not_near_bent(self, runner, tmp_path):
         result = invoke(

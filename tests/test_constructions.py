@@ -27,6 +27,7 @@ from bentfn.errors import (
     ConditionViolation,
     DerivativeNotConstant,
     InvalidExponentSet,
+    NotBent,
     NotNearBent,
 )
 from bentfn.gf2m import FieldContext
@@ -412,7 +413,7 @@ class TestOneSpectrumPerFunction:
         # 2^8 points: F, which join builds without a spectrum (bent-classification).
         # 2^7 points: one dual half for each pseudo-dual that
         # check_pseudo_dual_conditions derives by trace_join.  dual-support and
-        # the zero-set checks read f0 and f1 with spectra derived from F's
+        # the zero-set checks read the signs of f0 and f1 off F's spectrum
         assert sorted(fwht_sizes) == [128] * 2 + [256]
 
     @pytest.mark.parametrize("m", [7, 11])
@@ -433,7 +434,7 @@ class TestOneSpectrumPerFunction:
         assert run_example(EXAMPLES[1]).passed
         # 2^7 points: the parsed seed (trace_join builds F); in verify_function,
         # the two dual halves of check_pseudo_dual_conditions (dual-support and
-        # the zero-set checks derive f0 and f1 from F's spectrum); the two dual
+        # the zero-set checks read f0 and f1 off F's spectrum); the two dual
         # halves of _six_pack_of.  2^8 points: the duals of _six_pack_of's two
         # pseudo-duals
         assert sorted(fwht_sizes) == [128] * 5 + [256] * 2
@@ -455,10 +456,19 @@ class TestOneSpectrumPerFunction:
         with pytest.raises(DerivativeNotConstant, match="^unit derivative not constant$"):
             check_spectrum_zero_set(f, ctx7)
 
+    def test_half_zero_set_check_requires_bent(self, ctx7):
+        # the components of a bent function are near-bent; of any other, not necessarily
+        f0 = trace_polynomial(ctx7, [3])
+        F = join(f0, f0)
+        assert walsh(F).classification is not Classification.BENT
+        for i in range(2):
+            with pytest.raises(NotBent):
+                check_spectrum_zero_set(F, ctx7, half=i)
+
     @pytest.mark.parametrize(("exponent", "xi", "calls"), [
-        (13, 1, []),  # D1 f0, D1 f1 not constant, xi = 1: no half is derived
-        (13, 0, [0]),  # only dual-support reads f0
-        (3, 0, [0, 0, 1]),  # dual-support reads f0, then each zero-set check its half
+        (13, 1, []),  # D1 f0, D1 f1 not constant, xi = 1: no half is read
+        (13, 0, [0, 0]),  # only dual-support reads f0: S and g
+        (3, 0, [0, 0, 0, 1]),  # dual-support reads f0 twice, then each zero-set check its half
         (3, 1, [0, 1]),
     ])
     def test_zero_set_checks_derive_a_half_only_past_the_derivative(
@@ -466,9 +476,14 @@ class TestOneSpectrumPerFunction:
         import bentfn.constructions as constructions
 
         derived = []
-        derive = constructions.component
-        monkeypatch.setattr(constructions, "component",
-                            lambda F, i: derived.append(i) or derive(F, i))
+        mask = constructions.field_mask
+
+        def recorded(F, ctx, sign, half=None):
+            if half is not None:
+                derived.append(half)
+            return mask(F, ctx, sign, half)
+
+        monkeypatch.setattr(constructions, "field_mask", recorded)
         f0 = trace_polynomial(ctx7, [exponent])
         suite = verify_function(join(f0, f0 + trace_function(ctx7) + xi), ctx7)
         assert suite.passed

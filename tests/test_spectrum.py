@@ -13,8 +13,8 @@ from bentfn.spectrum import (
     _fwht,
     check_nearbent_distribution,
     classify,
-    component,
     dual,
+    field_mask,
     trace_join,
     walsh,
     walsh_at_field_point,
@@ -275,6 +275,15 @@ class TestDual:
             expected = (coeffs[:, ctx.dual_perm()] == -(1 << t)).ravel()
             assert np.array_equal(dual(F, ctx).table, expected)
 
+    @pytest.mark.parametrize("field", ["ctx7", "ctx7_alt"])
+    def test_matches_fresh_transform(self, field, request):
+        ctx = request.getfixturevalue(field)
+        for exponents, xi in (([3, 9], 0), ([13], 1), ([3, 5, 7, 11, 19, 21], 0)):
+            F = trace_join(trace_polynomial(ctx, exponents), ctx, xi)
+            coeffs = walsh(BooleanFunction(8, F.table.copy())).coeffs.reshape(2, -1)
+            expected = (coeffs[:, ctx.dual_perm()] == -16).ravel()
+            assert np.array_equal(dual(F, ctx).table, expected), (exponents, xi)
+
     def test_no_coefficient_sized_temporary_at_dim_20(self):
         ctx = FieldContext(19)
         F = trace_join(trace_polynomial(ctx, [3]), ctx)
@@ -372,35 +381,63 @@ class TestTraceJoin:
             trace_join(BooleanFunction.constant(7, 0), ctx5)
 
 
-class TestComponent:
-    """component derives a half's spectrum from F's; a full FWHT of the half,
-    on a fresh object, is the oracle."""
+class TestFieldMask:
+    """field_mask reads signs off F's spectrum; a full FWHT of a fresh copy of
+    each half (or of F), gathered by field point, is the oracle."""
+
+    @staticmethod
+    def oracle(f, ctx, sign):
+        coeffs = walsh(BooleanFunction(f.m, f.table.copy())).coeffs.reshape(-1, ctx.order)
+        return (np.sign(coeffs[:, ctx.dual_perm()]) == sign).ravel()
 
     @pytest.mark.parametrize("m", [4, 8, 12, 18])
     def test_matches_full_transform(self, m):
-        rng = np.random.default_rng(m)
-        F = random_function(rng, m)
-        for i, half in enumerate(split(F)):
-            derived = walsh(component(F, i))
-            full = walsh(BooleanFunction(half.m, half.table))
-            assert component(F, i) == half
-            assert np.array_equal(derived.coeffs, full.coeffs)
-            assert derived.classification is full.classification
-            assert derived.histogram == full.histogram
-            assert not derived.coeffs.flags.writeable
+        ctx = FieldContext(m - 1)
+        F = random_function(np.random.default_rng(m), m)
+        for sign in (-1, 0):
+            mask = field_mask(F, ctx, sign)
+            assert mask.dtype == np.uint8 and mask.shape == (1 << m,)
+            assert np.array_equal(mask, self.oracle(F, ctx, sign))
+            for i, half in enumerate(split(F)):
+                mask = field_mask(F, ctx, sign, half=i)
+                assert mask.dtype == np.uint8 and mask.shape == (ctx.order,)
+                assert np.array_equal(mask, self.oracle(half, ctx, sign)), (sign, i)
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
+    def test_standalone_matches_full_transform(self, m):
+        ctx = FieldContext(m)
+        f = random_function(np.random.default_rng(50 + m), m)
+        for sign in (-1, 0):
+            assert np.array_equal(field_mask(f, ctx, sign), self.oracle(f, ctx, sign))
 
     def test_near_bent_halves_of_a_bent_join(self, ctx7):
-        f0 = trace_polynomial(ctx7, [3, 9])
-        F = trace_join(f0, ctx7, 1)
+        # each half is near-bent: its negative coefficients are the -2^t ones
+        F = trace_join(trace_polynomial(ctx7, [3, 9]), ctx7, 1)
         for i, half in enumerate(split(F)):
-            derived = walsh(component(F, i))
-            assert derived.classification is Classification.NEAR_BENT
-            assert np.array_equal(derived.coeffs, walsh(half).coeffs)
+            coeffs = walsh(BooleanFunction(7, half.table.copy())).coeffs[ctx7.dual_perm()]
+            assert np.array_equal(field_mask(F, ctx7, -1, half=i), coeffs == -16)
+            assert np.array_equal(field_mask(F, ctx7, 0, half=i), coeffs == 0)
+
+    def test_under_alternative_polynomial(self, ctx7_alt):
+        F = random_function(np.random.default_rng(72), 8)
+        for sign in (-1, 0):
+            assert np.array_equal(field_mask(F, ctx7_alt, sign), self.oracle(F, ctx7_alt, sign))
+            for i, half in enumerate(split(F)):
+                assert np.array_equal(field_mask(F, ctx7_alt, sign, half=i),
+                                      self.oracle(half, ctx7_alt, sign))
 
     def test_transforms_no_half(self, fwht_sizes):
+        ctx = FieldContext(9)
         F = random_function(np.random.default_rng(5), 10)
         walsh(F)
         fwht_sizes.clear()
         for i in range(2):
-            assert walsh(component(F, i)).classification is Classification.NEITHER
+            for sign in (-1, 0):
+                field_mask(F, ctx, sign, half=i)
         assert fwht_sizes == []
+
+    def test_dimension_mismatch(self, ctx5, ctx7):
+        with pytest.raises(DimensionMismatch):
+            field_mask(BooleanFunction.constant(8, 0), ctx5, 0)
+        with pytest.raises(DimensionMismatch):
+            field_mask(BooleanFunction.constant(7, 0), ctx7, 0, half=0)

@@ -41,6 +41,18 @@ class TestSplitJoin:
         with pytest.raises(OddDimension):
             split(BooleanFunction.constant(5, 0))
 
+    def test_halves_are_read_only_views_that_compare_like_copies(self):
+        F = random_function(np.random.default_rng(10), 10)
+        for i, half in enumerate(split(F)):
+            assert np.shares_memory(half.table, F.table)
+            assert half.table.base is not None and not half.table.flags.writeable
+            with pytest.raises(ValueError):
+                half.table[0] ^= 1
+            copy = BooleanFunction(9, F.table[i << 9 : (i + 1) << 9].copy())
+            assert np.array_equal(half.table, copy.table)
+            assert half == copy and hash(half) == hash(copy)
+            assert half != split(F)[1 - i]
+
     def test_join_requires_equal_dims(self):
         with pytest.raises(DimensionMismatch):
             join(BooleanFunction.constant(3, 0), BooleanFunction.constant(4, 0))
