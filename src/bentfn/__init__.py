@@ -13,7 +13,6 @@ from .constructions import (
     CheckReport,
     CollisionReport,
     ConditionFlags,
-    DualSupportReport,
     SixPack,
     VerificationSuite,
     bent_from_near_bent,

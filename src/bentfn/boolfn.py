@@ -81,12 +81,12 @@ class BooleanFunction:
 
     def __add__(self, other):
         if isinstance(other, int):
-            return BooleanFunction(self.m, self._table ^ (other & 1))
+            return BooleanFunction(self.m, self._table ^ (other & 1), copy=False)
         if not isinstance(other, BooleanFunction):
             return NotImplemented
         if other.m != self.m:
             raise DimensionMismatch(f"cannot add functions of dimension {self.m} and {other.m}")
-        return BooleanFunction(self.m, self._table ^ other._table)
+        return BooleanFunction(self.m, self._table ^ other._table, copy=False)
 
     __radd__ = __add__
 
@@ -107,10 +107,10 @@ class BooleanFunction:
         if e and not e & (e - 1):
             # x + e flips one bit: swap the halves of each 2e-entry run, no index array
             pairs = self._table.reshape(-1, 2, e)
-            return BooleanFunction(self.m, (pairs ^ pairs[:, ::-1]).reshape(-1))
+            return BooleanFunction(self.m, (pairs ^ pairs[:, ::-1]).reshape(-1), copy=False)
         idx = np.arange(len(self), dtype=np.int32)  # int32 indexes any table below 2^31
         idx ^= e
-        return BooleanFunction(self.m, self._table ^ self._table[idx])
+        return BooleanFunction(self.m, self._table ^ self._table[idx], copy=False)
 
     def is_constant(self):
         """The constant value if F is constant, else None."""
@@ -131,7 +131,7 @@ class BooleanFunction:
             raise DimensionMismatch(
                 f"field has dimension {ctx.m}, function has dimension {self.m}"
             )
-        return BooleanFunction(self.m, self._table ^ ctx.linear_form_table(a) ^ (c & 1))
+        return BooleanFunction(self.m, self._table ^ ctx.linear_form_table(a) ^ (c & 1), copy=False)
 
     def table_hex(self) -> str:
         """Little-endian packed table as a hex string (bit x in the lowest bit of byte x//8)."""

@@ -395,13 +395,16 @@ def _times_power(tables: list[np.ndarray], x: np.ndarray, out: np.ndarray | None
     return out
 
 
+def _parities(size: int, masks) -> np.ndarray:
+    """Parity of x & mask for every x < size; a row for each mask of an array."""
+    return np.bitwise_count(np.arange(size, dtype=np.int32) & np.asarray(masks)[..., None]) & 1
+
+
 def _parity_table(order: int, mask: int) -> np.ndarray:
-    """x -> parity of x & mask, for every x < order."""
-    points = np.arange(order, dtype=np.int32)
-    points &= mask
-    parity = np.bitwise_count(points)
-    parity &= 1
-    return parity
+    """x -> parity of x & mask for every x < order: an outer XOR over x's two halves."""
+    low = (order.bit_length() - 1) // 2
+    return np.bitwise_xor.outer(_parities(order >> low, mask >> low),
+                                _parities(1 << low, mask)).ravel()
 
 
 def _gf2_row_rank(rows) -> int:

@@ -14,6 +14,7 @@ pseudo-dual, and a CLI pair whose halves differ by tr or tr + 1.  Nor are the
 components of a transformed join: the checks that read a component's spectrum
 read only its signs, and :func:`field_mask` reads those off the joined one.
 ``trace_join`` keeps no spectrum on c that ``walsh(c)`` did not.
+:func:`sampled_coefficients` sums a few coefficients from the table instead.
 
 Up to ``_FWHT_BLOCK`` (2^16) points the butterfly runs its upper levels on the
 natural layout and its lower levels on one transposed copy, so no level works
@@ -34,7 +35,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction
 from .errors import DimensionMismatch, DimensionOutOfRange, NotBent, NotNearBent
-from .gf2m import FieldContext
+from .gf2m import FieldContext, _parities
 
 MAX_WALSH_DIMENSION = 24
 _FWHT_BLOCK = 1 << 16
@@ -172,7 +173,8 @@ def trace_join(c: BooleanFunction, ctx: FieldContext, xi: int = 0) -> BooleanFun
         raise DimensionOutOfRange(f"dimension {c.m + 1} exceeds {MAX_WALSH_DIMENSION}")
     if ctx.m != c.m:
         raise DimensionMismatch(f"field has dimension {ctx.m}, function has dimension {c.m}")
-    F = BooleanFunction(c.m + 1, np.concatenate([c.table, c.table ^ ctx.trace_table ^ xi]))
+    F = BooleanFunction(c.m + 1, np.concatenate([c.table, c.table ^ ctx.trace_table ^ xi]),
+                        copy=False)
 
     # W_c(u + s) block by block: the bits of s above the block pick the source
     # block, those below it permute within the block by one small index
@@ -215,6 +217,27 @@ def field_mask(F: BooleanFunction, ctx: FieldContext, sign: int,
     for block, coeffs in zip(table, blocks):
         block[...] = compare(coeffs, 0)[ctx.dual_perm()]
     return table.ravel()
+
+
+def sampled_coefficients(F: BooleanFunction, ctx: FieldContext, points) -> np.ndarray:
+    """W_F at field points p = (eta << m) | a, each summed from F's table as
+    2^n - 2 wt(F + tr(a*x) + eta*nu) through ``ctx.dual_index``, with no transform:
+    a check of :func:`field_mask` and :func:`dual` from outside.  On rows of 2^(n//2)
+    entries the form is an outer XOR of two parity vectors, applied 2^16 entries at a time."""
+    if F.m - ctx.m not in (0, 1):
+        raise DimensionMismatch(f"field has dimension {ctx.m}, function has dimension {F.m}")
+    mask = ctx.order - 1
+    coords = np.array([(p & ~mask) | ctx.dual_index(p & mask) for p in points], dtype=np.int64)
+    width = F.m // 2
+    rows = F.table.reshape(-1, 1 << width)
+    low, high = _parities(1 << width, coords), _parities(rows.shape[0], coords >> width)
+    step = max(1, _FWHT_BLOCK >> width)
+    weights = np.zeros(coords.size, dtype=np.int64)
+    for lo in range(0, rows.shape[0], step):
+        block = rows[lo : lo + step] ^ low[:, None]
+        block ^= high[:, lo : lo + step, None]
+        weights += [np.count_nonzero(part) for part in block]
+    return len(F) - 2 * weights
 
 
 def classify(obj) -> Classification:

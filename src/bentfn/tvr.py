@@ -23,7 +23,7 @@ def join(f0: BooleanFunction, f1: BooleanFunction) -> BooleanFunction:
     """The function with F(u, 0) = f0(u) and F(u, 1) = f1(u)."""
     if f0.m != f1.m:
         raise DimensionMismatch(f"components have dimensions {f0.m} and {f1.m}")
-    return BooleanFunction(f0.m + 1, np.concatenate([f0.table, f1.table]))
+    return BooleanFunction(f0.m + 1, np.concatenate([f0.table, f1.table]), copy=False)
 
 
 def split(F: BooleanFunction) -> tuple[BooleanFunction, BooleanFunction]:

@@ -16,16 +16,11 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from .constructions import (
-    CheckItem,
-    _six_pack_of,
-    dual_support_analysis,
-    pseudo_dual_collision_demo,
-    verify_function,
-)
+from .boolfn import BooleanFunction
+from .constructions import CheckItem, _six_pack_of, pseudo_dual_collision_demo, verify_function
 from .errors import BentfnError
 from .gf2m import FieldContext
-from .spectrum import Classification, trace_join, walsh
+from .spectrum import Classification, field_mask, trace_join, walsh
 from .tracerep import parse
 from .tvr import linear_form, split
 
@@ -213,7 +208,7 @@ def run_example(ex: WorkedExample, ctx: FieldContext | None = None) -> ExampleRe
     dual0, dual1 = check_forms("dual", dual_F, ex.dual0, ex.dual_offset)
 
     if ex.zero_indicator is not None:
-        g = dual_support_analysis(F, ctx).g
+        g = BooleanFunction(ctx.m, field_mask(F, ctx, 0, half=0), copy=False)
         check("zero-indicator-form", g == parse(ex.zero_indicator, ctx))
 
     for name, fn in (("pseudo0", pd0), ("pseudo1", pd1),

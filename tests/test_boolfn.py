@@ -54,6 +54,22 @@ class TestBasics:
         BooleanFunction(5, whole)
         assert base.flags.writeable and whole.flags.writeable
 
+    def test_built_results_share_no_memory_and_are_read_only(self, ctx7):
+        # each result takes over its fresh table without a copy
+        from bentfn.spectrum import trace_join
+        from bentfn.tvr import join
+
+        rng = np.random.default_rng(38)
+        f, g = random_function(rng, 7), random_function(rng, 7)
+        results = [f + g, f + 1, f.derivative(4), f.derivative(5),
+                   f.add_linear_form(ctx7, 9, 1), join(f, g), trace_join(f, ctx7, 1)]
+        for result in results:
+            assert not result.table.flags.writeable
+            for operand in (f, g, trace_function(ctx7)):
+                assert not np.shares_memory(result.table, operand.table)
+            with pytest.raises(ValueError):
+                result.table[0] ^= 1
+
     @given(any_function)
     @settings(max_examples=60, deadline=None)
     def test_self_sum_is_zero(self, f):

@@ -621,6 +621,19 @@ class TestVerify:
         assert result.exit_code == 4
         assert "FAIL" in result.output
 
+    def test_wrong_dual_exits_4(self, runner, monkeypatch):
+        # a dual flipped everywhere fails the round trip of bent-classification
+        import bentfn.constructions as constructions
+
+        dual = constructions.dual
+        monkeypatch.setattr(constructions, "dual", lambda F, ctx: dual(F, ctx) + 1)
+        result = invoke(
+            runner, ["verify", "--dim", "8", "--expr-pair", "tr(x^7+x^13)", "+tr(x)"]
+        )
+        assert result.exit_code == 4
+        assert "check bent-classification: FAIL" in result.output
+        assert "failed: dual-spectrum-at-sampled-points witness=" in result.output
+
     def test_json_report(self, runner):
         result = invoke(
             runner,

@@ -31,7 +31,7 @@ from bentfn.errors import (
     NotNearBent,
 )
 from bentfn.gf2m import FieldContext
-from bentfn.spectrum import Classification, classify, dual, walsh
+from bentfn.spectrum import Classification, classify, dual, field_mask, walsh
 from bentfn.tvr import join, linear_form, split
 
 from helpers import gf_pow
@@ -131,22 +131,24 @@ class TestDualSupport:
         F = kasami_welch(4, 2, ctx7)
         report = dual_support_analysis(F, ctx7)
         assert report.passed
-        assert [item.name for item in report.report.items] == [
+        assert [item.name for item in report.items] == [
             "first-dual-support-is-S-union-S1",
-            "second-dual-equals-first-plus-zero-indicator",
             "S-and-S1-disjoint",
-            "zero-set-size",
         ]
-        # the zero-set indicator is 1 + tr(x^5) for this seed
-        expected = trace_polynomial(ctx7, [5], constant_term=1)
-        assert report.g == expected
+        # the zero-set indicator of f0's spectrum is 1 + tr(x^5) for this seed
+        g = BooleanFunction(7, field_mask(F, ctx7, 0, half=0))
+        assert g == trace_polynomial(ctx7, [5], constant_term=1)
+        assert g.weight() == 64
         values = walsh(split(F)[0]).trace_indexed(ctx7)
-        assert np.array_equal(report.s_indicator.table, values == -16)
-        S = {int(v) for v in report.s_indicator.support()}
+        s_indicator = field_mask(F, ctx7, -1, half=0)
+        assert np.array_equal(s_indicator, values == -16)
+        S = {int(v) for v in np.flatnonzero(s_indicator)}
         S1 = {v ^ 1 for v in S}
-        assert {int(v) for v in split(dual(F, ctx7))[0].support()} == S | S1
+        d0, d1 = split(dual(F, ctx7))
+        assert {int(v) for v in d0.support()} == S | S1
         assert len(S1) == len(S) and not (S & S1)
-        assert report.g.weight() == 64
+        # the second dual component is the first plus g, by bentness alone
+        assert d1 == d0 + g
 
     def test_flipped_dual_bit_fails_support_check(self, ctx7, monkeypatch):
         import bentfn.constructions as constructions
@@ -159,9 +161,8 @@ class TestDualSupport:
         F = kasami_welch(4, 2, ctx7)
         monkeypatch.setattr(constructions, "dual", flipped_dual)
         report = dual_support_analysis(F, ctx7)
-        assert not report.report.item("first-dual-support-is-S-union-S1").passed
-        assert report.report.item("S-and-S1-disjoint").passed
-        assert report.report.item("zero-set-size").passed
+        assert not report.item("first-dual-support-is-S-union-S1").passed
+        assert report.item("S-and-S1-disjoint").passed
 
     def test_flipped_dual_bit_fails_pseudo_dual_bent_check(self, ctx7, monkeypatch, fwht_sizes):
         import bentfn.constructions as constructions
@@ -188,9 +189,8 @@ class TestDualSupport:
     def test_quadratic_zero_indicator_is_trace(self, ctx7):
         f0 = trace_polynomial(ctx7, [3, 9])
         F = join(f0, f0 + trace_function(ctx7))
-        report = dual_support_analysis(F, ctx7)
-        assert report.passed
-        assert report.g == trace_function(ctx7)
+        assert dual_support_analysis(F, ctx7).passed
+        assert BooleanFunction(7, field_mask(F, ctx7, 0, half=0)) == trace_function(ctx7)
 
     def test_requires_trace_condition(self, ctx7):
         f0 = trace_polynomial(ctx7, [3, 9])
@@ -467,8 +467,8 @@ class TestOneSpectrumPerFunction:
 
     @pytest.mark.parametrize(("exponent", "xi", "calls"), [
         (13, 1, []),  # D1 f0, D1 f1 not constant, xi = 1: no half is read
-        (13, 0, [0, 0]),  # only dual-support reads f0: S and g
-        (3, 0, [0, 0, 0, 1]),  # dual-support reads f0 twice, then each zero-set check its half
+        (13, 0, [0]),  # only dual-support reads f0: S
+        (3, 0, [0, 0, 1]),  # dual-support reads f0, then each zero-set check its half
         (3, 1, [0, 1]),
     ])
     def test_zero_set_checks_derive_a_half_only_past_the_derivative(
@@ -572,6 +572,82 @@ class TestOneDualAndFlagsPerFunction:
         # dual(F) is shared by the suite and _six_pack_of; each builds its
         # own pseudo-duals, whose duals make the other four
         assert _distinct(derived["dual"]) == 5
+
+
+class TestDualRoundTrip:
+    """bent-classification's second item sums the dual's spectrum from its table
+    at eight fixed points; a wrong dual fails it in verify_function itself."""
+
+    NAME = "dual-spectrum-at-sampled-points"
+
+    @staticmethod
+    def pairs(ctx):
+        f0 = trace_polynomial(ctx, [3])
+        tr = trace_function(ctx)
+        # xi = 0, xi = 1, and halves differing by neither tr nor tr + 1 (a translate of f0)
+        f1 = BooleanFunction(ctx.m, f0.table[np.arange(ctx.order) ^ 2]) + tr
+        return join(f0, f0 + tr), join(f0, f0 + tr + 1), join(f0, f1)
+
+    def round_trip(self, F, ctx):
+        suite = verify_function(F, ctx)
+        assert suite.reports[0].name == "bent-classification"
+        return suite.reports[0].item(self.NAME)
+
+    @pytest.mark.parametrize("field", ["ctx7", "ctx7_alt", "ctx11"])
+    def test_passes_on_a_true_dual(self, field, request):
+        ctx = request.getfixturevalue(field)
+        for F in self.pairs(ctx):
+            item = self.round_trip(F, ctx)
+            assert item.passed and item.witness is None and not item.detail
+
+    def test_makes_no_transform(self, ctx7, fwht_sizes):
+        # past F's own spectrum, a pair without condition (T) makes no transform
+        F = self.pairs(ctx7)[2]
+        walsh(F)
+        fwht_sizes.clear()
+        assert self.round_trip(F, ctx7).passed
+        assert fwht_sizes == []
+
+    def test_not_bent_has_no_round_trip(self, ctx7):
+        suite = verify_function(BooleanFunction.constant(8, 0), ctx7)
+        assert [item.name for item in suite.reports[0].items] == ["classifies-bent"]
+
+    @staticmethod
+    def roll_perm(perm):
+        return np.roll(perm, 1)  # every point reads its neighbour's dual index
+
+    @staticmethod
+    def drop_gather(perm):
+        return np.arange(perm.size, dtype=perm.dtype)  # coefficients left in coordinates
+
+    @pytest.mark.parametrize("mutate", ["roll_perm", "drop_gather"])
+    @pytest.mark.parametrize("m", [7, 9])
+    def test_wrong_gather_fails(self, monkeypatch, m, mutate):
+        perm_of = FieldContext.dual_perm
+        wrong = getattr(self, mutate)
+        monkeypatch.setattr(FieldContext, "dual_perm", lambda ctx: wrong(perm_of(ctx)))
+        ctx = FieldContext(m)
+        for F in self.pairs(ctx):
+            item = self.round_trip(F, ctx)
+            assert not item.passed
+            assert item.witness is not None and item.detail.endswith("of 8 points differ")
+
+    @pytest.mark.parametrize("flip", ["all", "one"])
+    def test_wrong_dual_fails(self, ctx7, monkeypatch, flip):
+        import bentfn.constructions as constructions
+
+        def wrong_dual(F, ctx):
+            table = dual(F, ctx).table.copy()
+            if flip == "all":
+                table ^= 1
+            else:
+                table[5] ^= 1  # moves W at every point by 2
+            return BooleanFunction(F.m, table)
+
+        monkeypatch.setattr(constructions, "dual", wrong_dual)
+        for F in self.pairs(ctx7):
+            item = self.round_trip(F, ctx7)
+            assert not item.passed and item.detail == "8 of 8 points differ"
 
 
 class TestVerifyFunction:

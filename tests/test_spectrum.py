@@ -15,6 +15,7 @@ from bentfn.spectrum import (
     classify,
     dual,
     field_mask,
+    sampled_coefficients,
     trace_join,
     walsh,
     walsh_at_field_point,
@@ -441,3 +442,62 @@ class TestFieldMask:
             field_mask(BooleanFunction.constant(8, 0), ctx5, 0)
         with pytest.raises(DimensionMismatch):
             field_mask(BooleanFunction.constant(7, 0), ctx7, 0, half=0)
+
+
+class TestSampledCoefficients:
+    """sampled_coefficients sums W_F at each point from F's table; a full FWHT
+    of a fresh copy, gathered through dual_perm, is the oracle."""
+
+    @staticmethod
+    def oracle(f, ctx, points):
+        coeffs = walsh(BooleanFunction(f.m, f.table.copy())).coeffs.reshape(-1, ctx.order)
+        return np.array([coeffs[p >> ctx.m, ctx.dual_perm()[p & (ctx.order - 1)]]
+                         for p in points])
+
+    @staticmethod
+    def points(n, rng):
+        # every point up to 2^8, else 62 seeded ones and both ends
+        if n <= 8:
+            return list(range(1 << n))
+        return [0, *rng.integers(0, 1 << n, 62).tolist(), (1 << n) - 1]
+
+    @pytest.mark.parametrize("m", range(3, 14))
+    def test_matches_full_transform(self, m):
+        ctx = FieldContext(m)
+        rng = np.random.default_rng(100 + m)
+        c = random_function(rng, m)
+        # xi = 0, xi = 1, and a pair whose halves differ by neither tr nor tr + 1
+        for F in (trace_join(c, ctx), trace_join(c, ctx, 1), join(c, random_function(rng, m))):
+            points = self.points(F.m, rng)
+            assert np.array_equal(sampled_coefficients(F, ctx, points),
+                                  self.oracle(F, ctx, points))
+
+    @pytest.mark.parametrize("field", ["ctx7", "ctx7_alt"])
+    def test_matches_full_transform_per_field(self, field, request):
+        ctx = request.getfixturevalue(field)
+        rng = np.random.default_rng(77)
+        f0 = trace_polynomial(ctx, [3, 9])
+        pairs = (trace_join(f0, ctx), trace_join(f0, ctx, 1),
+                 join(f0, random_function(rng, 7)), random_function(rng, 7))
+        for F in pairs:
+            points = range(len(F))
+            assert np.array_equal(sampled_coefficients(F, ctx, points),
+                                  self.oracle(F, ctx, points))
+
+    def test_reads_the_bidual(self, ctx7_alt):
+        # the dual of a bent F has W(p) = 2^(n/2) (-1)^F(p)
+        F = trace_join(trace_polynomial(ctx7_alt, [13]), ctx7_alt)
+        points = range(len(F))
+        coeffs = sampled_coefficients(dual(F, ctx7_alt), ctx7_alt, points)
+        assert np.array_equal(coeffs, 16 * (1 - 2 * F.table.astype(np.int64)))
+
+    def test_makes_no_transform_and_no_gather(self, ctx7, monkeypatch, fwht_sizes):
+        monkeypatch.setattr(FieldContext, "dual_perm",
+                            lambda self: pytest.fail("dual_perm was read"))
+        F = random_function(np.random.default_rng(7), 8)
+        sampled_coefficients(F, ctx7, [0, 5, 200])
+        assert fwht_sizes == []
+
+    def test_dimension_mismatch(self, ctx5):
+        with pytest.raises(DimensionMismatch):
+            sampled_coefficients(BooleanFunction.constant(8, 0), ctx5, [0])
